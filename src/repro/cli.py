@@ -15,8 +15,8 @@ Subcommand form (preferred):
     $ python -m repro serve models/ --cache-dir .lineage-cache --port 8765
 
 Every extraction subcommand accepts the shared extraction flags
-(``--engine``, ``--catalog``, ``--strict``, ``--mode``, ``--workers``,
-``--executor``, ``--cache-dir``, ...) and every ``--format`` value
+(``--engine``, ``--catalog``, ``--strict``, ``--mode``, ``--cache-dir``,
+``--stream``, ...) and every ``--format`` value
 resolves through the renderer registry, so formats added with
 :func:`repro.output.register_renderer` are immediately available here.
 The ``cache`` subcommand inspects and maintains a persistent lineage
@@ -56,15 +56,13 @@ SUBCOMMANDS = ("extract", "impact", "render", "refresh", "cache", "serve", "stre
 
 
 def _positive_int(text):
-    """argparse type for ``--workers``: an integer >= 1."""
+    """argparse type for count-valued flags: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--workers must be >= 1 (a thread-pool size), got {value}"
-        )
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
     return value
 
 
@@ -118,24 +116,6 @@ def _add_extraction_options(parser):
         "LIFO-deferral stack",
     )
     parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        metavar="N",
-        default=None,
-        help="in dag mode, extract independent queries of each wave on a "
-        "pool of N workers (default: sequential; output is identical "
-        "either way — see --executor)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker-pool backend for --workers: 'thread' (default; "
-        "GIL-bound on stock CPython) or 'process' (uses the cores; "
-        "byte-identical output, falls back to threads where process pools "
-        "are unavailable)",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="DIR",
         default=None,
@@ -144,21 +124,11 @@ def _add_extraction_options(parser):
         "across runs; see the 'cache' subcommand for maintenance)",
     )
     parser.add_argument(
-        "--cache-shards",
-        type=_positive_int,
-        metavar="N",
-        default=None,
-        help="shard a NEWLY created store at --cache-dir across N SQLite "
-        "files routed by content-hash prefix (parallel warm-start reads, "
-        "per-shard write transactions); an existing store keeps its "
-        "layout — re-shard it with 'cache migrate'",
-    )
-    parser.add_argument(
         "--stream",
         action="store_true",
         help="bounded-memory extraction for very large corpora: release "
-        "each statement's AST as soon as it is no longer needed and ship "
-        "parallel waves as shard-routed batches (byte-identical output)",
+        "each statement's AST as soon as it is no longer needed "
+        "(byte-identical output)",
     )
 
 
@@ -291,10 +261,9 @@ def build_subcommand_parser():
         "cache", help="inspect or maintain a persistent lineage store"
     )
     cache.add_argument(
-        "action", choices=["stats", "clear", "gc", "migrate"],
+        "action", choices=["stats", "clear", "gc"],
         help="stats: print store counters; clear: delete every record; "
-        "gc: evict stale records; migrate: re-shard the store in place "
-        "(records and cache keys are preserved verbatim)",
+        "gc: evict stale records",
     )
     cache.add_argument(
         "--cache-dir", metavar="DIR", required=True,
@@ -307,10 +276,6 @@ def build_subcommand_parser():
     cache.add_argument(
         "--max-entries", type=_positive_int, metavar="N", default=None,
         help="gc: keep only the N most recently used lineage records",
-    )
-    cache.add_argument(
-        "--shards", type=_positive_int, metavar="N", default=None,
-        help="migrate: the target shard count (1 = back to a single file)",
     )
     cache.set_defaults(handler=_cmd_cache)
 
@@ -345,21 +310,9 @@ def build_subcommand_parser():
         help="treat the preload input directory as a dbt project",
     )
     serve.add_argument(
-        "--workers", type=_positive_int, metavar="N", default=None,
-        help="worker-pool width for each ingest batch's DAG-wave extraction",
-    )
-    serve.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
-        help="worker-pool backend for --workers (see 'extract --help')",
-    )
-    serve.add_argument(
         "--cache-dir", metavar="DIR", default=None,
         help="persistent lineage store: ingest splices unchanged statements "
         "from it and persists new extractions (warm restarts)",
-    )
-    serve.add_argument(
-        "--cache-shards", type=_positive_int, metavar="N", default=None,
-        help="shard count for a NEWLY created store at --cache-dir",
     )
     serve.add_argument(
         "--batch-window-ms", type=float, metavar="MS", default=10.0,
@@ -478,12 +431,9 @@ def _session_from_args(args):
         use_stack=not args.no_stack,
         collect_traces=args.collect_traces,
         mode=args.mode,
-        workers=args.workers,
         engine=args.engine,
-        executor=args.executor,
         cache_dir=args.cache_dir,
         stream=args.stream,
-        cache_shards=args.cache_shards,
     )
     return LineageSession(source, catalog=catalog, config=config)
 
@@ -591,36 +541,11 @@ def _cmd_refresh(args, stdout):
 def _cmd_cache(args, stdout):
     from .store import LineageStore
 
-    if args.action == "migrate":
-        if args.shards is None:
-            print("error: cache migrate needs --shards", file=sys.stderr)
-            return 2
-        moved = LineageStore.migrate(args.cache_dir, args.shards)
-        layout = LineageStore(args.cache_dir)
-        try:
-            print(
-                f"migrated {moved} records; store now has "
-                f"{layout.num_shards} shard(s)",
-                file=stdout,
-            )
-        finally:
-            layout.close()
-        return 0
     store = LineageStore(args.cache_dir)
     try:
         if args.action == "stats":
-            stats = store.stats()
-            shards = stats.pop("per_shard", [])
-            for key, value in sorted(stats.items()):
+            for key, value in sorted(store.stats().items()):
                 print(f"{key}: {value}", file=stdout)
-            for shard in shards:
-                print(
-                    f"shard {shard['shard']}: {shard['entries']} entries, "
-                    f"{shard['source_entries']} sources, "
-                    f"{shard['size_bytes']} bytes, "
-                    f"{shard['hit_count']} hits  ({shard['path']})",
-                    file=stdout,
-                )
         elif args.action == "clear":
             print(f"removed {store.clear()} records", file=stdout)
         else:  # gc
@@ -654,12 +579,9 @@ def _cmd_stream(args, stdout):
         use_stack=not args.no_stack,
         collect_traces=args.collect_traces,
         mode=args.mode,
-        workers=args.workers,
         engine=args.engine,
-        executor=args.executor,
         cache_dir=args.cache_dir,
         stream=args.stream,
-        cache_shards=args.cache_shards,
     )
 
     def on_batch(report):
@@ -734,9 +656,6 @@ def _cmd_serve(args, stdout):
         preload = payload
     app = LineageApp(
         cache_dir=args.cache_dir,
-        cache_shards=args.cache_shards,
-        workers=args.workers,
-        executor=args.executor,
         catalog=catalog,
         strict=args.strict,
         batch_window=args.batch_window_ms / 1000.0,

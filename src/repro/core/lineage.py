@@ -97,7 +97,7 @@ class TableLineage:
 
     def __getstate__(self):
         # weak observer references are neither picklable nor meaningful in
-        # another process; a worker-returned copy starts unsubscribed
+        # another process; an unpickled copy starts unsubscribed
         state = dict(self.__dict__)
         state.pop("_observers", None)
         return state

@@ -224,8 +224,6 @@ class LineageXRunner:
         collect_traces=False,
         id_generator=None,
         mode="dag",
-        workers=None,
-        executor="thread",
         store=None,
         dialect="postgres",
         stream=False,
@@ -236,8 +234,6 @@ class LineageXRunner:
         self.collect_traces = collect_traces
         self.id_generator = id_generator
         self.mode = mode
-        self.workers = workers
-        self.executor = executor
         #: optional :class:`repro.store.LineageStore`; when set, extraction
         #: consults it before scheduling and persists new results after.
         self.store = store
@@ -246,8 +242,7 @@ class LineageXRunner:
         #: in memory as ASTs: preprocessing consumes the source lazily (it
         #: may be a generator) and drops each cold-parsed AST immediately,
         #: extraction re-materialises ASTs wave by wave and releases them
-        #: after recording, and parallel waves ship as shard-routed batches.
-        #: Results are byte-identical to the default mode.
+        #: after recording.  Results are byte-identical to the default mode.
         self.stream = stream
 
     # ------------------------------------------------------------------
@@ -480,11 +475,6 @@ class LineageXRunner:
             self._splice_from_store(
                 store, query_dictionary, catalog, dag, seed_results, seed_origins
             )
-        shard_router = None
-        if self.stream and store is not None:
-            shard_of = getattr(store, "shard_of", None)
-            if shard_of is not None:
-                shard_router = lambda entry: shard_of(entry.content_hash)  # noqa: E731
         scheduler = AutoInferenceScheduler(
             query_dictionary,
             catalog=catalog,
@@ -492,14 +482,10 @@ class LineageXRunner:
             use_stack=self.use_stack,
             collect_traces=self.collect_traces,
             mode=self.mode,
-            workers=self.workers,
-            executor=self.executor,
             seed_results=seed_results,
             seed_origins=seed_origins,
             dag=dag,
             release_asts=self.stream,
-            wave_batching=self.stream,
-            shard_router=shard_router,
         )
         graph, report = scheduler.run()
         self._attach_base_tables(graph, catalog)
@@ -668,8 +654,8 @@ class LineageXRunner:
                     },
                 )
             )
-        # one executemany-backed transaction per store shard instead of a
-        # round trip per record — the write-side analogue of prime()
+        # one executemany-backed transaction instead of a round trip per
+        # record — the write-side analogue of prime()
         store.put_many(rows)
         store.flush()
 
@@ -755,12 +741,9 @@ def lineagex(
         topological waves; ``"stack"`` reproduces the paper's purely
         reactive LIFO-deferral behaviour.
     workers:
-        In DAG mode, extract independent entries of each wave on a thread
-        pool of this size (``None``/1 = sequential).  Results are identical
-        for any worker count.  Note the extraction is pure-Python and
-        CPU-bound, so on GIL-bound CPython builds threads yield little
-        wall-clock benefit — the option exists for free-threaded builds and
-        as the seam for a future process-based backend.
+        Deprecated and ignored: extraction is serial.  A value other than
+        ``None`` emits one :class:`DeprecationWarning` (see
+        :class:`~repro.session.SessionConfig`).
 
     Returns
     -------

@@ -29,8 +29,7 @@ def lineagex_dbt(
         Optional :class:`repro.catalog.Catalog` with the source-table schemas.
     strict / use_stack / collect_traces / mode / workers:
         Extraction options, identical to :func:`repro.core.runner.lineagex`
-        (historically ``mode``, ``workers`` and ``collect_traces`` were
-        silently dropped by this wrapper; they are forwarded now).
+        (``workers`` is deprecated and ignored there too).
     output_dir:
         When given, write ``lineagex.json`` and ``lineagex.html`` there.
 

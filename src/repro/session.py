@@ -6,20 +6,19 @@ and input handling.  :class:`LineageSession` replaces them with a single
 configured object:
 
 >>> import repro
->>> session = repro.LineageSession("models/", workers=4)
+>>> session = repro.LineageSession("models/")
 >>> result = session.extract()               # auto-detected source adapter
 >>> print(result.render("markdown"))         # any registered format
 >>> # ... edit files under models/ ...
 >>> refreshed = session.refresh()            # content-hash diff -> incremental
 
 With ``cache_dir`` the session keeps a persistent content-addressed
-lineage store, so a *new process* over an unchanged corpus warm-starts by
-splicing every extraction from disk; ``executor="process"`` runs DAG-wave
-extraction on a process pool (true multi-core, byte-identical output):
+lineage store in one SQLite file, so a *new process* over an unchanged
+corpus warm-starts by splicing every extraction from disk:
 
->>> session = repro.LineageSession(
-...     "models/", cache_dir=".lineage-cache", workers=8, executor="process"
-... )
+>>> session = repro.LineageSession("models/", cache_dir=".lineage-cache")
+
+Extraction is serial: one DAG-wave pass in dependency order.
 
 Three orthogonal axes compose:
 
@@ -42,19 +41,21 @@ working unchanged.
 
 import os
 import threading
+import warnings
 from dataclasses import dataclass, replace as dataclass_replace
 from typing import Protocol, runtime_checkable
 
 from .core.errors import SessionClosedError
 from .core.plan_extractor import PlanModeRunner
 from .core.runner import LineageXRunner
-from .core.scheduler import EXECUTORS
 from .sources import Source, diff_fingerprints
 
 #: engine name -> builder; the seam future engines plug into.
 ENGINES = ("static", "plan")
 _MODES = ("dag", "stack")
 _DIALECTS = {"postgres": "postgres", "postgresql": "postgres"}
+#: fields accepted for one release and ignored, with their defaults
+_DEPRECATED = {"workers": None, "executor": "thread", "cache_shards": None}
 
 
 @runtime_checkable
@@ -90,15 +91,6 @@ class SessionConfig:
     mode:
         Static-engine scheduling: ``"dag"`` (topological waves, default) or
         ``"stack"`` (the paper's reactive LIFO deferral).
-    workers:
-        Worker-pool width for DAG-wave extraction (``None``/1 = sequential).
-        Must be a positive integer.
-    executor:
-        Wave-parallel backend when ``workers > 1``: ``"thread"`` (default;
-        GIL-bound on stock CPython) or ``"process"`` (a
-        ``ProcessPoolExecutor`` that actually uses the cores; output is
-        byte-identical to serial mode, and environments without working
-        fork/spawn degrade gracefully to threads).
     cache_dir:
         Directory of the persistent content-addressed lineage store.  When
         set, ``extract()``/``refresh()`` splice unchanged statements from
@@ -113,7 +105,7 @@ class SessionConfig:
         ``"static"`` (AST pipeline) or ``"plan"`` (simulated-EXPLAIN
         database-connection mode).  The plan engine validates every
         dependency against the catalog, needs no scheduling plan, and
-        therefore ignores ``mode``/``workers``/``use_stack``.
+        therefore ignores ``mode``/``use_stack``.
     dialect:
         SQL dialect for parsing and identifier folding.  Only
         PostgreSQL semantics are implemented today (``"postgres"``,
@@ -123,16 +115,13 @@ class SessionConfig:
         Bounded-memory extraction for corpora beyond what comfortably
         fits in memory as ASTs (the 100k-statement scale tier):
         preprocessing consumes the source lazily and drops each AST once
-        its parse record exists, extraction re-materialises ASTs wave by
-        wave and releases them after recording, and parallel waves ship
-        as store-shard-routed batches.  Output is byte-identical to the
-        default mode.  Static engine only.
-    cache_shards:
-        Shard count for a *newly created* store at ``cache_dir`` (``None``
-        = the classic single SQLite file).  An existing store's on-disk
-        layout always wins; re-shard it with ``cache migrate``.  Sharding
-        fans the warm-start prefetch out across per-shard connections in
-        parallel and splits bulk writes into per-shard transactions.
+        its parse record exists, and extraction re-materialises ASTs wave
+        by wave and releases them after recording.  Output is
+        byte-identical to the default mode.  Static engine only.
+    workers, executor, cache_shards:
+        Deprecated and ignored: extraction is serial over one SQLite
+        file.  A non-default value emits one :class:`DeprecationWarning`
+        naming the field and is reset to the default.
     """
 
     strict: bool = False
@@ -156,17 +145,15 @@ class SessionConfig:
             raise ValueError(
                 f"unknown scheduling mode {self.mode!r}; expected one of {', '.join(_MODES)}"
             )
-        if self.workers is not None:
-            if not isinstance(self.workers, int) or isinstance(self.workers, bool) \
-                    or self.workers < 1:
-                raise ValueError(
-                    f"workers must be a positive integer (>= 1), got {self.workers!r}"
+        for name, default in _DEPRECATED.items():
+            if getattr(self, name) != default:
+                warnings.warn(
+                    f"SessionConfig.{name} is deprecated and ignored: "
+                    "extraction is serial over one SQLite file",
+                    DeprecationWarning,
+                    stacklevel=3,
                 )
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; expected one of "
-                + ", ".join(EXECUTORS)
-            )
+                object.__setattr__(self, name, default)
         if self.cache_dir is not None:
             try:
                 path = os.fsdecode(self.cache_dir)
@@ -175,13 +162,6 @@ class SessionConfig:
                     f"cache_dir must be a path or None, got {self.cache_dir!r}"
                 ) from None
             object.__setattr__(self, "cache_dir", path)
-        if self.cache_shards is not None:
-            if not isinstance(self.cache_shards, int) \
-                    or isinstance(self.cache_shards, bool) or self.cache_shards < 1:
-                raise ValueError(
-                    "cache_shards must be a positive integer (>= 1) or None, "
-                    f"got {self.cache_shards!r}"
-                )
         canonical = _DIALECTS.get(str(self.dialect).lower())
         if canonical is None:
             raise ValueError(
@@ -261,9 +241,7 @@ class LineageSession:
         if self._store is None:
             from .store import LineageStore
 
-            self._store = LineageStore(
-                self.config.cache_dir, shards=self.config.cache_shards
-            )
+            self._store = LineageStore(self.config.cache_dir)
         return self._store
 
     def cache_stats(self):
@@ -314,8 +292,6 @@ class LineageSession:
             use_stack=self.config.use_stack,
             collect_traces=self.config.collect_traces,
             mode=self.config.mode,
-            workers=self.config.workers,
-            executor=self.config.executor,
             store=self.store,
             dialect=self.config.dialect,
             stream=self.config.stream,

@@ -5,11 +5,19 @@ LIFO-deferral behaviour, which also serves as the fallback of the plan-first
 DAG mode.  The DAG mode itself is covered in ``test_dag.py``.
 """
 
+import pickle
+
 import pytest
 
 from repro.catalog import Catalog
-from repro.core.errors import CyclicDependencyError, DeferralLimitExceededError
+from repro.core.errors import (
+    AmbiguousColumnError,
+    CyclicDependencyError,
+    DeferralLimitExceededError,
+    UnknownRelationError,
+)
 from repro.core.preprocess import preprocess
+from repro.core.runner import LineageXRunner
 from repro.core.scheduler import AutoInferenceScheduler
 from repro.datasets import example1
 
@@ -89,6 +97,29 @@ class TestStackDeferral:
     def test_traces_collected_when_requested(self):
         _, report = run_scheduler(example1.QUERY_LOG, collect_traces=True)
         assert set(report.traces) == {"info", "webact", "webinfo"}
+
+
+class TestPlanFallback:
+    def test_select_star_over_later_defined_view(self):
+        sources = {
+            "late": "CREATE VIEW late AS SELECT * FROM early",
+            "early": "CREATE VIEW early AS SELECT a, b FROM base",
+        }
+        result = LineageXRunner().run(sources)
+        assert not result.report.unresolved
+        assert result.graph["late"].output_columns == ["a", "b"]
+
+
+class TestErrorPickling:
+    def test_unknown_relation_error_survives_pickling(self):
+        error = pickle.loads(pickle.dumps(UnknownRelationError("t", reason="why")))
+        assert error.relation == "t"
+        assert error.reason == "why"
+
+    def test_ambiguous_column_error_survives_pickling(self):
+        error = pickle.loads(pickle.dumps(AmbiguousColumnError("c", ["a", "b"])))
+        assert error.column == "c"
+        assert error.candidates == ["a", "b"]
 
 
 class TestCyclesAndFailures:

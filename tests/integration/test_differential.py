@@ -1,10 +1,11 @@
 """Seeded differential cross-mode equivalence harness.
 
-With four execution modes (dag/stack x serial/thread/process), two store
-temperatures (cold/warm), two store layouts (single-file/sharded, plus a
-``migrate`` between them), streaming vs materialized extraction, two
-refresh paths (full/incremental) and order-independent planning, the
-cheapest way to trust them all is to prove they *agree*: every generated warehouse — classic templates plus the
+With two scheduling modes (dag/stack), two store temperatures
+(cold/warm), a store directory left in the old sharded layout,
+streaming vs materialized extraction, two refresh paths
+(full/incremental) and order-independent planning, the cheapest way to
+trust them all is to prove they *agree*: every generated warehouse —
+classic templates plus the
 warehouse-DML surface (MERGE, ON CONFLICT upserts, QUALIFY, GROUPING
 SETS/ROLLUP/CUBE, unnest/generate_series) — must produce byte-identical
 sorted edge sets and byte-identical csv renderings on every axis.
@@ -21,7 +22,9 @@ Every failure message prints the reproducing seed and the exact
 ``generate_warehouse(...)`` call that rebuilds the workload.
 """
 
+import json
 import os
+import shutil
 
 import pytest
 
@@ -35,10 +38,6 @@ NUM_SEEDS = int(os.environ.get("DIFFERENTIAL_SEEDS", "3" if SMOKE else "10"))
 NUM_VIEWS = int(os.environ.get("DIFFERENTIAL_VIEWS", "40" if SMOKE else "100"))
 EXTENDED_PROBABILITY = 0.35
 SEEDS = [1300 + index for index in range(NUM_SEEDS)]
-#: the process-executor axis covers every seed (a pool that cannot start
-#: degrades gracefully to threads, so the equivalence assertion holds on
-#: any platform).
-PROCESS_SEEDS = SEEDS
 ARTIFACT_DIR = os.environ.get("DIFFERENTIAL_ARTIFACT_DIR")
 
 
@@ -136,7 +135,7 @@ def _shuffled_sources(warehouse):
 
 
 # ----------------------------------------------------------------------
-# dag vs stack, serial vs thread, original vs shuffled order
+# dag vs stack, original vs shuffled order
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mode_worker_and_order_equivalence(seed):
@@ -145,7 +144,6 @@ def test_mode_worker_and_order_equivalence(seed):
 
     axes = {
         "stack": _run(warehouse, mode="stack"),
-        "threads": _run(warehouse, mode="dag", workers=4, executor="thread"),
         "shuffled": _run(warehouse, sources=_shuffled_sources(warehouse)),
         "shuffled-stack": _run(
             warehouse, sources=_shuffled_sources(warehouse), mode="stack"
@@ -156,40 +154,33 @@ def test_mode_worker_and_order_equivalence(seed):
 
 
 # ----------------------------------------------------------------------
-# process executor (graceful thread degradation keeps this portable)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", PROCESS_SEEDS)
-def test_process_executor_equivalence(seed):
-    warehouse = _warehouse(seed)
-    baseline = _signature(_run(warehouse))
-    result = _run(warehouse, mode="dag", workers=2, executor="process")
-    _assert_equivalent(seed, warehouse, "process", baseline, _signature(result))
-
-
-# ----------------------------------------------------------------------
-# cold vs warm persistent store
+# cold vs warm persistent store, materialized and streamed
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cold_vs_warm_store_equivalence(seed, tmp_path):
     warehouse = _warehouse(seed)
     baseline = _signature(_run(warehouse))
+    num_statements = len(warehouse.views)
 
-    store = LineageStore(tmp_path / "cache")
-    try:
-        cold = _run(warehouse, store=store)
-        warm = _run(warehouse, store=store)
-    finally:
-        store.close()
-    assert warm.stats()["num_reused_store"] > 0, (
-        f"seed={seed}: the warm run spliced nothing from the store "
-        f"(reproduce with: {_recipe(seed)})"
-    )
-    _assert_equivalent(seed, warehouse, "cold-store", baseline, _signature(cold))
-    _assert_equivalent(seed, warehouse, "warm-store", baseline, _signature(warm))
+    axes = {}
+    for name, stream in (("store", False), ("stream-store", True)):
+        store = LineageStore(tmp_path / name)
+        try:
+            axes[f"cold-{name}"] = _run(warehouse, store=store, stream=stream)
+            warm = axes[f"warm-{name}"] = _run(warehouse, store=store, stream=stream)
+        finally:
+            store.close()
+        assert warm.stats()["num_reused_store"] == num_statements, (
+            f"seed={seed}: the warm {name} run spliced "
+            f"{warm.stats()['num_reused_store']}/{num_statements} "
+            f"(reproduce with: {_recipe(seed)})"
+        )
+    for axis, result in axes.items():
+        _assert_equivalent(seed, warehouse, axis, baseline, _signature(result))
 
 
 # ----------------------------------------------------------------------
-# streaming extraction (lazy source, AST release, wave batching)
+# streaming extraction (lazy source, AST release)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_streaming_equivalence(seed):
@@ -198,9 +189,6 @@ def test_streaming_equivalence(seed):
 
     axes = {
         "stream": _run(warehouse, stream=True),
-        "stream-threads": _run(
-            warehouse, stream=True, workers=4, executor="thread"
-        ),
         # a one-shot generator source: the shape the 100k tier feeds in
         "stream-generator": _run(
             warehouse, sources=iter(list(warehouse.views.items())), stream=True
@@ -211,7 +199,7 @@ def test_streaming_equivalence(seed):
 
 
 # ----------------------------------------------------------------------
-# sharded vs single-file store (cold, warm, and across a migration)
+# a directory left in the old sharded layout vs a fresh store
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sharded_store_equivalence(seed, tmp_path):
@@ -219,43 +207,46 @@ def test_sharded_store_equivalence(seed, tmp_path):
     baseline = _signature(_run(warehouse))
     num_statements = len(warehouse.views)
 
-    sharded_dir = tmp_path / "sharded"
-    store = LineageStore(sharded_dir, shards=4)
-    try:
-        cold = _run(warehouse, store=store, stream=True)
-        warm_sharded = _run(warehouse, store=store, stream=True)
-    finally:
-        store.close()
-    assert warm_sharded.stats()["num_reused_store"] == num_statements, (
-        f"seed={seed}: sharded warm run spliced "
-        f"{warm_sharded.stats()['num_reused_store']}/{num_statements} "
-        f"(reproduce with: {_recipe(seed)})"
-    )
-
-    store = LineageStore(tmp_path / "single")
+    primed = tmp_path / "primed"
+    store = LineageStore(primed)
     try:
         _run(warehouse, store=store)
-        warm_single = _run(warehouse, store=store)
     finally:
         store.close()
-    assert warm_single.stats()["num_reused_store"] == num_statements
 
-    # re-shard in place: cache keys are layout-independent, so the warm
-    # run over the migrated store must splice everything, byte-identically
-    assert LineageStore.migrate(sharded_dir, 1) > 0
+    # the sharded layout by hand: a manifest plus shard files holding real
+    # records for this very warehouse; none of them may be read
+    sharded_dir = tmp_path / "sharded"
+    sharded_dir.mkdir()
+    (sharded_dir / "shards.json").write_text(
+        json.dumps({"version": 1, "shards": 2})
+    )
+    for index in range(2):
+        shutil.copyfile(
+            primed / "lineage.sqlite", sharded_dir / f"lineage-{index:03d}-of-002.sqlite"
+        )
+    before = {path.name: path.read_bytes() for path in sorted(sharded_dir.iterdir())}
+
     store = LineageStore(sharded_dir)
     try:
-        warm_migrated = _run(warehouse, store=store)
+        cold = _run(warehouse, store=store, stream=True)
+        warm = _run(warehouse, store=store, stream=True)
     finally:
         store.close()
-    assert warm_migrated.stats()["num_reused_store"] == num_statements
+    assert cold.stats()["num_reused_store"] == 0, (
+        f"seed={seed}: the cold run over the sharded layout spliced "
+        f"{cold.stats()['num_reused_store']} records from ignored shard files "
+        f"(reproduce with: {_recipe(seed)})"
+    )
+    assert warm.stats()["num_reused_store"] == num_statements, (
+        f"seed={seed}: the warm run over the sharded layout spliced "
+        f"{warm.stats()['num_reused_store']}/{num_statements} "
+        f"(reproduce with: {_recipe(seed)})"
+    )
+    for name, content in before.items():
+        assert (sharded_dir / name).read_bytes() == content
 
-    for axis, result in (
-        ("sharded-cold", cold),
-        ("sharded-warm", warm_sharded),
-        ("single-warm", warm_single),
-        ("migrated-warm", warm_migrated),
-    ):
+    for axis, result in (("sharded-cold", cold), ("sharded-warm", warm)):
         _assert_equivalent(seed, warehouse, axis, baseline, _signature(result))
 
 

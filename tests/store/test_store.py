@@ -1,14 +1,16 @@
 """The LineageStore backend: persistence, LRU front, corruption handling."""
 
+import hashlib
 import json
 import sqlite3
+import threading
 
 import pytest
 
 from repro.core.column_refs import ColumnName
 from repro.core.lineage import LINEAGE_RECORD_VERSION, TableLineage
 from repro.store import LineageStore, make_key, schema_fingerprint
-from repro.store.store import STORE_FILENAME
+from repro.store.store import BUSY_TIMEOUT_MS, STORE_FILENAME
 
 
 def _entry(name="v"):
@@ -20,6 +22,10 @@ def _entry(name="v"):
 
 def _key(tag="x"):
     return make_key(tag, "postgres", 1, schema_fingerprint([("t", ["a", "b"])]))
+
+
+def _hash(tag):
+    return hashlib.sha256(tag.encode("utf-8")).hexdigest()
 
 
 class TestPutGet:
@@ -60,6 +66,35 @@ class TestPutGet:
         assert store.get(_key("a")).name == "a"
         assert store.get(_key("b")).name == "b"
         store.close()
+
+
+class TestBulkPaths:
+    def test_put_many_counts_and_round_trips(self, tmp_path):
+        rows = [
+            (
+                _key(f"m{i}"),
+                _entry(f"m{i}"),
+                {"content_hash": _hash(f"m{i}"), "dialect": "postgres",
+                 "extractor_version": "1", "schema_fingerprint": "fp"},
+            )
+            for i in range(20)
+        ]
+        with LineageStore(tmp_path) as store:
+            assert store.put_many(rows) == 20
+        with LineageStore(tmp_path) as store:
+            for i in range(20):
+                assert store.get(_key(f"m{i}")).name == f"m{i}"
+
+    def test_sources_round_trip(self, tmp_path):
+        keys = [f"source:{_hash(str(i))}" for i in range(12)]
+        with LineageStore(tmp_path) as store:
+            for key in keys:
+                assert store.put_source(key, [{"kind": "view", "key": key}])
+        with LineageStore(tmp_path) as store:
+            found = store.get_sources(keys)
+            assert set(found) == set(keys)
+            for key in keys:
+                assert found[key] == [{"kind": "view", "key": key}]
 
 
 class TestLRUFront:
@@ -250,37 +285,22 @@ class TestClosedLifecycle:
         store.flush()  # no reopened connections, no error
 
 
-class TestPerShardStats:
-    def test_single_file_store_reports_one_shard(self, tmp_path):
+class TestFileStats:
+    def test_stats_report_the_one_file(self, tmp_path):
         store = LineageStore(str(tmp_path))
         store.put(_key("a"), _entry("a"))
         try:
             stats = store.stats()
             assert stats["entries"] == 1
-            shards = stats["per_shard"]
-            assert len(shards) == 1
-            assert shards[0]["shard"] == 0
-            assert shards[0]["entries"] == 1
-            assert shards[0]["path"].endswith(STORE_FILENAME)
-            assert shards[0]["size_bytes"] > 0
+            assert stats["path"].endswith(STORE_FILENAME)
+            assert stats["size_bytes"] > 0
+            assert stats["breaker"] == "closed"
+            assert stats["degraded"] is False
+            assert "per_shard" not in stats and "shards" not in stats
         finally:
             store.close()
 
-    def test_sharded_breakdown_sums_to_the_totals(self, tmp_path):
-        store = LineageStore(str(tmp_path), shards=4)
-        for index in range(12):
-            store.put(_key(f"v{index}"), _entry(f"v{index}"))
-        try:
-            stats = store.stats()
-            shards = stats["per_shard"]
-            assert len(shards) == 4
-            assert sum(s["entries"] for s in shards) == stats["entries"] == 12
-            assert sum(s["source_entries"] for s in shards) == stats["source_entries"]
-            assert len({s["path"] for s in shards}) == 4
-        finally:
-            store.close()
-
-    def test_hit_counts_accumulate_per_shard(self, tmp_path):
+    def test_hit_counts_accumulate(self, tmp_path):
         store = LineageStore(str(tmp_path))
         store.put(_key("hot"), _entry("hot"))
         store.flush()
@@ -291,6 +311,96 @@ class TestPerShardStats:
             store._lru.clear()
         try:
             stats = store.stats()
-            assert stats["per_shard"][0]["hit_count"] >= 3
+            assert stats["hit_count"] >= 3
         finally:
             store.close()
+
+
+class TestConcurrentAccess:
+    def test_connection_uses_wal_and_busy_timeout(self, tmp_path):
+        store = LineageStore(tmp_path)
+        try:
+            with store._lock:
+                connection = store._connect()
+                assert connection.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+                timeout = connection.execute("PRAGMA busy_timeout").fetchone()[0]
+                assert timeout == BUSY_TIMEOUT_MS
+        finally:
+            store.close()
+
+    def test_two_handles_write_concurrently(self, tmp_path):
+        """Two store handles on one directory, four writer threads: WAL plus
+        the busy timeout must absorb the contention without dropping writes,
+        as two real processes sharing a cache directory would."""
+        with LineageStore(tmp_path) as store:
+            store.put(_key("seed"), _entry("seed"), content_hash=_hash("seed"))
+        first = LineageStore(tmp_path)
+        second = LineageStore(tmp_path)
+        handles = [first, second]
+        failures = []
+
+        def writer(worker):
+            store = handles[worker % 2]
+            for index in range(25):
+                tag = f"w{worker}-{index}"
+                ok = store.put(_key(tag), _entry(tag), content_hash=_hash(tag))
+                if not ok:
+                    failures.append(tag)
+                if index % 5 == 0:
+                    store.flush()
+
+        threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        first.close()
+        second.close()
+        assert not failures, f"dropped writes under contention: {failures[:5]}"
+
+        with LineageStore(tmp_path) as store:
+            assert store.stats()["entries"] == 101  # 1 seed + 100 concurrent
+            for worker in range(4):
+                for index in range(25):
+                    tag = f"w{worker}-{index}"
+                    assert store.get(_key(tag)).name == tag
+
+    def test_readers_run_against_an_active_writer(self, tmp_path):
+        tags = [f"r{index}" for index in range(10)]
+        with LineageStore(tmp_path) as store:
+            for tag in tags:
+                store.put(_key(tag), _entry(tag), content_hash=_hash(tag))
+        writer_store = LineageStore(tmp_path)
+        reader_store = LineageStore(tmp_path)
+        errors = []
+        stop = threading.Event()
+
+        def writer():
+            index = 0
+            while not stop.is_set():
+                tag = f"extra{index}"
+                writer_store.put(_key(tag), _entry(tag), content_hash=_hash(tag))
+                writer_store.flush()
+                index += 1
+
+        def reader():
+            try:
+                for _ in range(20):
+                    for tag in tags:
+                        got = reader_store.get(_key(tag))
+                        assert got is not None and got.name == tag
+            except Exception as exc:  # noqa: BLE001 - surfaced via the list
+                errors.append(exc)
+
+        writer_thread = threading.Thread(target=writer)
+        reader_threads = [threading.Thread(target=reader) for _ in range(3)]
+        writer_thread.start()
+        for thread in reader_threads:
+            thread.start()
+        for thread in reader_threads:
+            thread.join()
+        stop.set()
+        writer_thread.join()
+        writer_store.close()
+        reader_store.close()
+        assert not errors, errors[0]

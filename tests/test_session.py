@@ -48,11 +48,6 @@ class TestSessionConfig:
         with pytest.raises(ValueError, match="unknown scheduling mode"):
             SessionConfig(mode="random")
 
-    @pytest.mark.parametrize("workers", [0, -1, 2.5, True])
-    def test_invalid_workers_rejected(self, workers):
-        with pytest.raises(ValueError, match="positive integer"):
-            SessionConfig(workers=workers)
-
     def test_postgresql_dialect_alias(self):
         assert SessionConfig(dialect="postgresql").dialect == "postgres"
 
@@ -61,9 +56,9 @@ class TestSessionConfig:
             SessionConfig(dialect="tsql")
 
     def test_kwarg_overrides_on_session(self):
-        session = LineageSession(example1.QUERY_LOG, strict=True, workers=2)
+        session = LineageSession(example1.QUERY_LOG, strict=True, mode="stack")
         assert session.config.strict is True
-        assert session.config.workers == 2
+        assert session.config.mode == "stack"
 
     def test_config_plus_overrides(self):
         config = SessionConfig(strict=True)
@@ -234,7 +229,8 @@ class TestShimEquivalence:
             "stg": "SELECT w.page FROM {{ source('raw', 'web') }} w",
             "rpt": "SELECT s.page FROM {{ ref('stg') }} s",
         }
-        parallel = lineagex_dbt(dict(models), workers=2)
+        with pytest.warns(DeprecationWarning, match="workers"):
+            parallel = lineagex_dbt(dict(models), workers=2)
         sequential = lineagex_dbt(dict(models))
         assert diff_graphs(parallel.graph, sequential.graph).is_identical
 
@@ -364,10 +360,6 @@ class TestCacheAndExecutorConfig:
         assert config.executor == "thread"
         assert config.cache_dir is None
 
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            SessionConfig(executor="fiber")
-
     def test_cache_dir_accepts_pathlike(self, tmp_path):
         config = SessionConfig(cache_dir=tmp_path)
         assert config.cache_dir == str(tmp_path)
@@ -386,17 +378,27 @@ class TestCacheAndExecutorConfig:
         session.close()
         assert session._store is None
 
-    def test_process_executor_through_session(self):
+    def test_deprecated_fields_warn_and_are_ignored(self, tmp_path):
         sources = {
             "a": "CREATE VIEW a AS SELECT x, y FROM base",
             "b": "CREATE VIEW b AS SELECT x FROM a",
             "c": "CREATE VIEW c AS SELECT y FROM a",
         }
-        serial = LineageSession(dict(sources)).extract()
-        parallel = LineageSession(
-            dict(sources), workers=2, executor="process"
-        ).extract()
-        assert parallel.render("csv") == serial.render("csv")
+        default = LineageSession(dict(sources)).extract()
+        with pytest.warns(DeprecationWarning) as caught:
+            session = LineageSession(
+                dict(sources), workers=2, executor="process", cache_shards=8,
+                cache_dir=str(tmp_path / "cache"),
+            )
+        messages = [str(warning.message) for warning in caught]
+        for field in ("workers", "executor", "cache_shards"):
+            assert sum(f"SessionConfig.{field} " in m for m in messages) == 1
+        assert session.config == SessionConfig(cache_dir=str(tmp_path / "cache"))
+        with session:
+            deprecated = session.extract()
+        assert json.dumps(deprecated.to_dict()) == json.dumps(default.to_dict())
+        assert (tmp_path / "cache" / "lineage.sqlite").exists()
+        assert not (tmp_path / "cache" / "shards.json").exists()
 
     def test_refresh_reuses_the_store(self, tmp_path):
         models = tmp_path / "models"
