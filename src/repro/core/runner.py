@@ -234,8 +234,9 @@ class LineageXRunner:
         self.collect_traces = collect_traces
         self.id_generator = id_generator
         self.mode = mode
-        #: optional :class:`repro.store.LineageStore`; when set, extraction
-        #: consults it before scheduling and persists new results after.
+        #: optional :class:`repro.store.LineageStore`; when set, each entry
+        #: is looked up in it when it comes due and new results are
+        #: persisted after the run.
         self.store = store
         self.dialect = dialect
         #: streaming mode for statement counts beyond what comfortably fits
@@ -466,28 +467,33 @@ class LineageXRunner:
     # ------------------------------------------------------------------
     def _run_scheduler(self, query_dictionary, seed_results=None, dag=None):
         catalog = self._build_catalog(query_dictionary)
-        seed_origins = {identifier: "memory" for identifier in (seed_results or ())}
+        seed_results = seed_results or {}
         store = self._usable_store()
+        store_lookup = None
         if store is not None:
-            if dag is None:
-                dag = DependencyDAG.from_query_dictionary(query_dictionary)
-            seed_results = dict(seed_results or {})
-            self._splice_from_store(
-                store, query_dictionary, catalog, dag, seed_results, seed_origins
+            store.prime(
+                entry.content_hash
+                for identifier, entry in query_dictionary.items()
+                if identifier not in seed_results
             )
-        scheduler = AutoInferenceScheduler(
-            query_dictionary,
-            catalog=catalog,
-            strict=self.strict,
-            use_stack=self.use_stack,
-            collect_traces=self.collect_traces,
-            mode=self.mode,
-            seed_results=seed_results,
-            seed_origins=seed_origins,
-            dag=dag,
-            release_asts=self.stream,
-        )
-        graph, report = scheduler.run()
+            store_lookup = self._store_lookup(store, catalog)
+        try:
+            scheduler = AutoInferenceScheduler(
+                query_dictionary,
+                catalog=catalog,
+                strict=self.strict,
+                use_stack=self.use_stack,
+                collect_traces=self.collect_traces,
+                mode=self.mode,
+                seed_results=seed_results,
+                store_lookup=store_lookup,
+                dag=dag,
+                release_asts=self.stream,
+            )
+            graph, report = scheduler.run()
+        finally:
+            if store is not None:
+                store.unprime()
         self._attach_base_tables(graph, catalog)
         if store is not None:
             self._persist_results(store, query_dictionary, catalog, scheduler, report)
@@ -519,114 +525,65 @@ class LineageXRunner:
             return None
         return self.store
 
-    def _dependency_schemas(self, entry, catalog, lookup):
+    def _store_lookup(self, store, catalog):
+        """The scheduler's ``store_lookup``: an entry's stored lineage or
+        ``None``, keyed from the results its dependencies already have.
+
+        A content hash that the run's :meth:`~repro.store.LineageStore.prime`
+        found no record for is a miss without building a key or reading.
+        """
+
+        def lookup(entry, results):
+            if not store.may_contain(entry.content_hash):
+                return None
+            key, _ = self._record_key(entry, catalog, results)
+            return store.get(key, content_hash=entry.content_hash)
+
+        return lookup
+
+    def _dependency_schemas(self, entry, catalog, results):
         """``(name, columns-or-None)`` pairs for an entry's cache key.
 
-        The self-reference (a query reading the relation it writes) is
-        resolved through the *catalog only* — during extraction the entry's
-        own result does not exist yet, so consulting results would stamp a
-        fingerprint the next run's pre-pass could never reconstruct, and
-        ignoring the self-read entirely would let a schema change to the
-        self-read table produce a stale warm hit.
+        Every relation the entry reads resolves to its result's output
+        columns, else the catalog's, else ``None``.  The self-reference (a
+        query reading the relation it writes) is resolved through the
+        *catalog only* — during extraction the entry's own result does not
+        exist yet, so consulting results would stamp a fingerprint the next
+        run's lookup could never reconstruct, and ignoring the self-read
+        entirely would let a schema change to the self-read table produce a
+        stale warm hit.
         """
         rows = []
         for name in entry.table_refs():
-            if name == entry.identifier:
-                table = catalog.get(name) if catalog is not None else None
-                rows.append(
-                    (name, table.column_names() if table is not None else None)
-                )
-            else:
-                rows.append((name, lookup(name)))
+            lineage = results.get(name) if name != entry.identifier else None
+            if lineage is not None:
+                rows.append((name, list(lineage.output_columns)))
+                continue
+            table = catalog.get(name) if catalog is not None else None
+            rows.append((name, table.column_names() if table is not None else None))
         return rows
 
-    def _splice_from_store(
-        self, store, query_dictionary, catalog, dag, seed_results, seed_origins
-    ):
-        """Seed extraction with store hits, walking entries in plan order.
-
-        Mirrors how the incremental layer splices ``prev_result``: a hit
-        becomes a ``seed_result`` the scheduler treats as already
-        processed.  An entry's key needs the column lists of everything it
-        references, so hits resolve in topological order — an upstream
-        miss (changed content, schema drift, version bump) conservatively
-        re-extracts every dependent whose resolved schemas it feeds.
-        """
-        resolved = {}  # relation -> output columns known before extraction
-        store.prime(
-            entry.content_hash
-            for identifier, entry in query_dictionary.items()
-            if identifier not in seed_results
-        )
-
-        def lookup(name):
-            columns = resolved.get(name)
-            if columns is not None:
-                return columns
-            table = catalog.get(name) if catalog is not None else None
-            if table is not None:
-                return table.column_names()
-            return None
-
-        # never splice entries on (or downstream of) a dependency cycle: the
-        # cold path raises CyclicDependencyError for them, and a warm hit
-        # must not change which runs fail
-        waves, deferred = dag.waves()
-        unresolvable = set(deferred)
-        for identifier in (name for wave in waves for name in wave):
-            entry = query_dictionary.get(identifier)
-            if entry is None:
-                continue
-            seeded = seed_results.get(identifier)
-            if seeded is not None:
-                resolved[identifier] = list(seeded.output_columns)
-                continue
-            # a dependency that is itself a pending Query Dictionary entry
-            # makes the key incomputable before extraction -> cold path
-            dependencies = dag.dependencies.get(identifier, ())
-            if any(name in unresolvable for name in dependencies):
-                unresolvable.add(identifier)
-                continue
-            key = self._record_key(entry, catalog, lookup)
-            cached = store.get(key, content_hash=entry.content_hash)
-            if cached is None:
-                unresolvable.add(identifier)
-                continue
-            seed_results[identifier] = cached
-            seed_origins[identifier] = "store"
-            resolved[identifier] = list(cached.output_columns)
-
-    def _record_key(self, entry, catalog, lookup):
+    def _record_key(self, entry, catalog, results):
+        """``(key, schema fingerprint)`` of ``entry``'s store record."""
         from ..store import make_key, schema_fingerprint
 
         fingerprint = schema_fingerprint(
-            self._dependency_schemas(entry, catalog, lookup),
+            self._dependency_schemas(entry, catalog, results),
             strict=self.strict,
         )
-        return make_key(entry.content_hash, self.dialect, EXTRACTOR_VERSION, fingerprint)
+        key = make_key(entry.content_hash, self.dialect, EXTRACTOR_VERSION, fingerprint)
+        return key, fingerprint
 
     def _persist_results(self, store, query_dictionary, catalog, scheduler, report):
         """Write every newly extracted entry's record to the store.
 
-        Keys are computed from the *final* resolved schemas — with the
-        deferral stack enabled an entry only completes once every
-        dependency it consulted is resolved, so the post-run view equals
-        what its extraction saw (and what the next run's pre-pass will
-        reconstruct from store hits).
+        Keys are computed from the *final* results — with the deferral
+        stack enabled an entry only completes once every dependency it
+        consulted is resolved, so the post-run view equals what its
+        extraction saw, and what the next run's lookup rebuilds when the
+        entry comes due.
         """
-        from ..store import make_key, schema_fingerprint
-
         results = scheduler.results
-
-        def lookup(name):
-            lineage = results.get(name)
-            if lineage is not None:
-                return list(lineage.output_columns)
-            table = catalog.get(name) if catalog is not None else None
-            if table is not None:
-                return table.column_names()
-            return None
-
         rows = []
         for identifier in report.order:
             if identifier in report.unresolved:
@@ -635,13 +592,7 @@ class LineageXRunner:
             entry = query_dictionary.get(identifier)
             if lineage is None or entry is None:
                 continue
-            fingerprint = schema_fingerprint(
-                self._dependency_schemas(entry, catalog, lookup),
-                strict=self.strict,
-            )
-            key = make_key(
-                entry.content_hash, self.dialect, EXTRACTOR_VERSION, fingerprint
-            )
+            key, fingerprint = self._record_key(entry, catalog, results)
             rows.append(
                 (
                     key,

@@ -30,6 +30,16 @@ the failure modes the ablation measures.)
 ``seed_results`` pre-populates extraction results (keyed by identifier) and
 is the substrate of incremental re-extraction: seeded entries are treated as
 already processed and spliced into the output graph unchanged.
+
+``store_lookup`` is the warm-start hook: when an entry comes due and every
+Query Dictionary relation it reads already has a result, the scheduler asks
+``store_lookup(entry, results)`` for a stored lineage before extracting it.
+A hit is spliced like a seed.  Because the lookup waits for the upstream
+*results*, not for upstream hits, a re-extracted entry whose output columns
+did not change leaves its dependents' keys intact and they still hit
+("early cutoff").  Entries on or downstream of a dependency cycle are never
+looked up: the cold path raises for them, and a warm hit must not change
+which runs fail.
 """
 
 from dataclasses import dataclass, field
@@ -67,7 +77,7 @@ class ScheduleReport:
     reused: list = field(default_factory=list)       # identifiers spliced from a cache
     #: where each reused identifier was spliced from: ``"memory"`` (the
     #: previous result's graph, i.e. the incremental layer) or ``"store"``
-    #: (the persistent content-addressed lineage store).
+    #: (the persistent content-addressed lineage store, via ``store_lookup``).
     reused_from: dict = field(default_factory=dict)
 
     @property
@@ -151,7 +161,7 @@ class AutoInferenceScheduler:
         max_deferrals=None,
         mode="dag",
         seed_results=None,
-        seed_origins=None,
+        store_lookup=None,
         dag=None,
         release_asts=False,
     ):
@@ -173,19 +183,16 @@ class AutoInferenceScheduler:
         self.schema_cache = {}
         self.pending = set(query_dictionary.identifiers())
         self.seeded = []
-        #: identifier -> "memory" | "store"; where each seed was spliced from
-        self.seed_origins = {}
         if seed_results:
-            seed_origins = seed_origins or {}
             for identifier in query_dictionary.identifiers():
                 lineage = seed_results.get(identifier)
                 if lineage is not None:
                     self.results[identifier] = lineage
                     self.pending.discard(identifier)
                     self.seeded.append(identifier)
-                    self.seed_origins[identifier] = seed_origins.get(
-                        identifier, "memory"
-                    )
+        self.store_lookup = store_lookup
+        #: entries never looked up in the store (the plan's cyclic leftovers)
+        self.cyclic = frozenset()
         #: a pre-built DependencyDAG for this Query Dictionary may be passed
         #: in (the incremental runner already computed one for its dirty
         #: set); otherwise the plan-first mode builds it on demand.
@@ -203,7 +210,7 @@ class AutoInferenceScheduler:
         report = ScheduleReport(
             mode=self.mode,
             reused=list(self.seeded),
-            reused_from=dict(self.seed_origins),
+            reused_from=dict.fromkeys(self.seeded, "memory"),
         )
         if self.mode == "dag":
             self._run_planned(report)
@@ -230,11 +237,36 @@ class AutoInferenceScheduler:
             self.dag = DependencyDAG.from_query_dictionary(self.query_dictionary)
         waves, deferred = self.dag.waves()
         report.waves = [list(wave) for wave in waves]
+        self.cyclic = frozenset(deferred)
         # Entries the plan could not order (dependency cycles) go last: the
         # stack reports genuine cycles with the participant list.
         for identifier in [name for wave in waves for name in wave] + list(deferred):
             if identifier in self.pending:
                 self._process_with_stack(identifier, report)
+
+    def _splice_from_store(self, identifier, entry, report):
+        """Splice ``identifier`` from the store if it is due and stored.
+
+        The key of a stored record fingerprints the schemas of everything
+        the entry reads, so it can only be built once every Query
+        Dictionary relation among them has a result.
+        """
+        if self.store_lookup is None or identifier in self.cyclic:
+            return False
+        results = self.results
+        entries = self.query_dictionary.entries
+        for name in entry.table_refs():
+            if name != identifier and name not in results and name in entries:
+                return False
+        lineage = self.store_lookup(entry, results)
+        if lineage is None:
+            return False
+        results[identifier] = lineage
+        self.pending.discard(identifier)
+        self.seeded.append(identifier)
+        report.reused.append(identifier)
+        report.reused_from[identifier] = "store"
+        return True
 
     def _record(self, identifier, lineage, trace, report):
         self.results[identifier] = lineage
@@ -265,37 +297,40 @@ class AutoInferenceScheduler:
                 stack.pop()
                 continue
             entry = self.query_dictionary.get(current)
-            self.provider.current = current
-            try:
-                lineage, trace = self.extractor.extract_statement(entry)
-            except UnknownRelationError as error:
-                missing = normalize_name(error.relation)
-                if not self.use_stack:
-                    # Without the stack we cannot recover; record and move on.
-                    report.unresolved[current] = str(error)
-                    self.pending.discard(current)
-                    stack.pop()
+            if not self._splice_from_store(current, entry, report):
+                self.provider.current = current
+                try:
+                    lineage, trace = self.extractor.extract_statement(entry)
+                except UnknownRelationError as error:
+                    missing = normalize_name(error.relation)
+                    if not self.use_stack:
+                        # Without the stack we cannot recover; record and move on.
+                        report.unresolved[current] = str(error)
+                        self.pending.discard(current)
+                        stack.pop()
+                        continue
+                    if missing in stack:
+                        raise CyclicDependencyError(
+                            stack[stack.index(missing):] + [missing]
+                        )
+                    if missing not in self.pending:
+                        # The dependency failed previously; give up on this entry.
+                        report.unresolved[current] = str(error)
+                        self.pending.discard(current)
+                        stack.pop()
+                        continue
+                    deferrals += 1
+                    if deferrals > limit:
+                        raise DeferralLimitExceededError(stack, limit)
+                    report.events.append(
+                        DeferralEvent(kind="defer", identifier=current, missing=missing)
+                    )
+                    stack.append(missing)
                     continue
-                if missing in stack:
-                    raise CyclicDependencyError(stack[stack.index(missing):] + [missing])
-                if missing not in self.pending:
-                    # The dependency failed previously; give up on this entry.
-                    report.unresolved[current] = str(error)
-                    self.pending.discard(current)
-                    stack.pop()
-                    continue
-                deferrals += 1
-                if deferrals > limit:
-                    raise DeferralLimitExceededError(stack, limit)
-                report.events.append(
-                    DeferralEvent(kind="defer", identifier=current, missing=missing)
-                )
-                stack.append(missing)
-                continue
-            finally:
-                self.provider.current = None
-            # Success: record the result and resume whatever was deferred.
-            self._record(current, lineage, trace, report)
+                finally:
+                    self.provider.current = None
+                self._record(current, lineage, trace, report)
+            # Success (extracted or spliced): resume whatever was deferred.
             stack.pop()
             if stack:
                 report.events.append(

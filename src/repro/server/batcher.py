@@ -517,12 +517,11 @@ class IngestBatcher:
         if quarantined:
             payload["quarantined"] = quarantined
         if report is not None:
+            origins = list((getattr(report, "reused_from", None) or {}).values())
             payload["batch"] = {
                 "extracted": len(getattr(report, "order", ()) or ()),
-                "reused_from_memory": len(getattr(report, "reused", ()) or ()),
-                "reused_from_store": len(
-                    getattr(report, "reused_from", {}) or {}
-                ),
+                "reused_from_memory": origins.count("memory"),
+                "reused_from_store": origins.count("store"),
                 "unresolved": sorted(getattr(report, "unresolved", ()) or ()),
             }
         return payload

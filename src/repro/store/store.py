@@ -25,7 +25,11 @@ Design points:
 * **batched I/O** — the warm-start prefetch (``prime()`` /
   ``get_sources()``) reads in chunked ``IN (...)`` queries, bulk writes
   (``put_many()``) commit in one transaction, and usage tracking is
-  written once per run by ``flush()`` (``close()`` flushes too).
+  written once per run by ``flush()`` (``close()`` flushes too);
+* **one decode per record** — ``prime()`` buffers the undecoded rows of a
+  run and remembers which content hashes have none, so ``get()`` decodes
+  each primed record once and the caller can skip lookups that cannot hit
+  (``may_contain()``); ``unprime()`` releases both at the end of the run.
 
 A directory left behind by older releases that sharded the store
 (``shards.json`` plus ``lineage-<i>-of-<n>.sqlite`` files) opens as a fresh
@@ -154,6 +158,11 @@ class LineageStore:
     def __init__(self, cache_dir, lru_size=2048):
         self.cache_dir = os.fspath(cache_dir)
         self._lru = _LRU(lru_size)
+        # the current run's prime() window: cache key -> undecoded record
+        # text (consumed by get()), and the primed content hashes that have
+        # no record at all
+        self._primed = {}
+        self._absent = frozenset()
         #: the SQLite file holding every record
         self.path = os.path.join(self.cache_dir, STORE_FILENAME)
         # one connection, guarded by one lock, plus the fault-accounting
@@ -356,6 +365,7 @@ class LineageStore:
                 self._connection = None
                 self._dirty = False
         self._lru.clear()
+        self.unprime()
 
     @property
     def closed(self):
@@ -408,12 +418,15 @@ class LineageStore:
         """The stored :class:`TableLineage` for ``key``, or ``None``.
 
         ``content_hash`` is accepted for callers that know it; lookups go
-        by ``key`` alone.  Every failure — no database, corrupted row,
-        malformed JSON, record version mismatch — is a silent cold miss.
+        by ``key`` alone.  A key :meth:`prime` buffered is decoded from the
+        buffer (and leaves it) without a read.  Every failure — no
+        database, corrupted row, malformed JSON, record version mismatch —
+        is a silent cold miss.
         """
         record = self._lru.get(key)
         if record is None:
-            record = self._fetch(key)
+            text = self._primed.pop(key, None)
+            record = self._fetch(key) if text is None else self._decode(text)
             if record is None:
                 self.misses += 1
                 return None
@@ -431,11 +444,11 @@ class LineageStore:
 
     def _read_chunked(self, query, values):
         """Rows of ``query`` (one ``IN ({})`` slot) over ``values`` in
-        chunks of :data:`_CHUNK`; ``[]`` when the read degrades."""
+        chunks of :data:`_CHUNK`; ``None`` when the read degrades."""
         with self._lock:
             connection = self._connect()
             if connection is None:
-                return []
+                return None
 
             def _read():
                 rows = []
@@ -448,38 +461,59 @@ class LineageStore:
                 return rows
 
             ok, rows = self._io("read", _read)
-        return rows if ok else []
+        return rows if ok else None
 
     def prime(self, content_hashes):
-        """Bulk-load every record matching ``content_hashes`` into the LRU.
+        """Buffer every record matching ``content_hashes`` for this run.
 
-        The warm-start pre-pass resolves keys sequentially (each key needs
-        the upstream hits' schemas), but the *content hashes* of the whole
+        A warm run resolves keys one entry at a time (each key needs its
+        upstream results' schemas), but the *content hashes* of the whole
         corpus are known up front — one batched SELECT per chunk replaces
-        hundreds of point lookups.  Purely an optimisation: keys not
-        primed still resolve through :meth:`get`.
+        a point lookup per entry.  The rows are kept undecoded until
+        :meth:`get` consumes them, and the primed hashes without any record
+        become known misses (see :meth:`may_contain`).  Each call replaces
+        the previous window; :meth:`unprime` releases it.  Returns the
+        number of records buffered.
+
+        When the read degrades, or the LRU front is disabled, nothing is
+        buffered and no hash is known to be absent: every lookup then goes
+        through :meth:`get`.
         """
+        self.unprime()
         if self._lru.capacity <= 0:
             return 0
-        hashes = [str(value) for value in content_hashes]
+        hashes = {str(value) for value in content_hashes}
         if not hashes:
             return 0
-        primed = 0
         rows = self._read_chunked(
-            "SELECT cache_key, record FROM lineage_records "
+            "SELECT cache_key, content_hash, record FROM lineage_records "
             "WHERE content_hash IN ({})",
-            hashes,
+            list(hashes),
         )
-        for key, text in rows:
-            try:
-                record = json.loads(text)
-            except (TypeError, ValueError):
-                self.corrupt += 1
-                continue
-            if isinstance(record, dict):
-                self._lru.put(key, record)
-                primed += 1
-        return primed
+        if rows is None:
+            return 0
+        self._primed = {key: text for key, _, text in rows}
+        self._absent = frozenset(hashes.difference(value for _, value, _ in rows))
+        return len(self._primed)
+
+    def may_contain(self, content_hash):
+        """False only for a hash the current :meth:`prime` window read and
+        found no record for; an unknown hash may always be stored."""
+        return content_hash not in self._absent
+
+    def unprime(self):
+        """Release the :meth:`prime` window (buffered rows and known misses)."""
+        self._primed = {}
+        self._absent = frozenset()
+
+    def _decode(self, text):
+        """A record dict from its stored JSON text, or ``None`` (corrupt)."""
+        try:
+            record = json.loads(text)
+        except (TypeError, ValueError):
+            self.corrupt += 1
+            return None
+        return record if isinstance(record, dict) else None
 
     def _fetch(self, key):
         """The decoded record for one cache key, or ``None``."""
@@ -496,12 +530,7 @@ class LineageStore:
             )
         if not ok or row is None:
             return None
-        try:
-            record = json.loads(row[0])
-        except (TypeError, ValueError):
-            self.corrupt += 1
-            return None
-        return record if isinstance(record, dict) else None
+        return self._decode(row[0])
 
     def put(self, key, lineage, *, content_hash="", dialect="",
             extractor_version="", schema_fingerprint=""):
@@ -674,7 +703,7 @@ class LineageStore:
             "WHERE source_key IN ({})",
             keys,
         )
-        for key, text in rows:
+        for key, text in rows or ():
             try:
                 records = json.loads(text)
             except (TypeError, ValueError):
@@ -848,6 +877,7 @@ class LineageStore:
         )
         self._execute(("DELETE FROM superseded_marks", ()))
         self._lru.clear()
+        self.unprime()
         return removed or 0
 
     def gc(self, max_age_days=None, max_entries=None):
@@ -896,6 +926,7 @@ class LineageStore:
         if lineage_evicted:
             removed += self._prune_orphan_sources()
         self._lru.clear()
+        self.unprime()
         return removed
 
     def _prune_orphan_sources(self):

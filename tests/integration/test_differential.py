@@ -1,7 +1,8 @@
 """Seeded differential cross-mode equivalence harness.
 
 With two scheduling modes (dag/stack), two store temperatures
-(cold/warm), a store directory left in the old sharded layout,
+(cold/warm), a warm store after schema-preserving and schema-changing
+edits, a store directory left in the old sharded layout,
 streaming vs materialized extraction, two refresh paths
 (full/incremental) and order-independent planning, the cheapest way to
 trust them all is to prove they *agree*: every generated warehouse —
@@ -196,6 +197,88 @@ def test_streaming_equivalence(seed):
     }
     for axis, result in axes.items():
         _assert_equivalent(seed, warehouse, axis, baseline, _signature(result))
+
+
+# ----------------------------------------------------------------------
+# warm after edit: a primed store, then mid-chain views redefined
+# ----------------------------------------------------------------------
+def _mid_chain_views(warehouse, result):
+    """``{name: readers}`` of the ``CREATE VIEW`` entries that read another
+    entry and are read by one."""
+    from repro.core.dag import DependencyDAG
+
+    dag = DependencyDAG.from_query_dictionary(result.query_dictionary)
+    return {
+        name: dag.dependents[name]
+        for name in dag.nodes
+        if dag.dependencies[name]
+        and dag.dependents[name]
+        and warehouse.views.get(name, "").startswith("CREATE VIEW ")
+    }
+
+
+def _wrapped(sql, extra_column=False):
+    """``sql`` redefined around its old body: the same output columns, or
+    one column more with ``extra_column``."""
+    head, body = sql.split(" AS ", 1)
+    extra = ", 1 AS diff_extra" if extra_column else ""
+    return f"{head} AS SELECT w.*{extra} FROM ({body}) w"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_warm_after_edit_equivalence(seed, tmp_path):
+    import random
+
+    warehouse = _warehouse(seed)
+    primed = tmp_path / "primed"
+    store = LineageStore(primed)
+    try:
+        original = _run(warehouse, store=store)
+    finally:
+        store.close()
+
+    readers = _mid_chain_views(warehouse, original)
+    rng = random.Random(seed * 17 + 3)
+    picked = rng.sample(sorted(readers), len(readers))
+    preserving = {
+        name: _wrapped(warehouse.views[name])
+        for name in picked[:max(2, len(picked) // 5)]
+    }
+    # the schema change must reach a reader that is not itself edited
+    changed = next(
+        name for name in picked
+        if name not in preserving and readers[name] - set(preserving)
+    )
+    changing = {changed: _wrapped(warehouse.views[changed], extra_column=True)}
+
+    for axis, edits, mode in (
+        ("warm-after-edit", preserving, "dag"),
+        ("warm-after-edit-stack", preserving, "stack"),
+        ("warm-after-schema-edit", {**preserving, **changing}, "dag"),
+    ):
+        sources = {**warehouse.views, **edits}
+        cold = _run(warehouse, sources=sources)
+        store_dir = tmp_path / axis
+        shutil.copytree(primed, store_dir)
+        store = LineageStore(store_dir)
+        try:
+            warm = _run(warehouse, sources=sources, store=store, mode=mode)
+        finally:
+            store.close()
+        _assert_equivalent(seed, warehouse, axis, _signature(cold), _signature(warm))
+        if edits is preserving:
+            # schema-preserving edits cut off at themselves: every other
+            # entry still hits the store
+            assert sorted(warm.report.order) == sorted(preserving), (
+                f"seed={seed}: {axis} re-extracted "
+                f"{sorted(set(warm.report.order) - set(preserving))} beyond the "
+                f"edited views (reproduce with: {_recipe(seed)})"
+            )
+        else:
+            assert set(warm.report.order) > set(edits), (
+                f"seed={seed}: the schema-changing edit of {changed} "
+                f"re-extracted none of its readers (reproduce with: {_recipe(seed)})"
+            )
 
 
 # ----------------------------------------------------------------------

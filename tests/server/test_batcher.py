@@ -170,6 +170,38 @@ class TestSnapshots:
         _run(go())
 
 
+class TestBatchCounters:
+    def test_reuse_counts_split_by_origin(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        with LineageSession(cache_dir=cache_dir) as primer:
+            primer.extract({"v1": V1, "v2": V2})
+
+        async def go():
+            session = LineageSession(cache_dir=cache_dir)
+            batcher = IngestBatcher(
+                session, SnapshotManager(LineageGraph()), batch_window=0.005
+            )
+            batcher.start()
+            await batcher.submit({"v1": V1})
+            # v1 carries over from the previous result (memory), v2 is new
+            # to this session but already in the store
+            result = await batcher.submit(
+                {"v2": V2, "v3": "CREATE VIEW v3 AS SELECT a FROM v2"}
+            )
+            report = session.result.report
+            await batcher.stop()
+            session.close()
+            return result["batch"], report
+
+        batch, report = _run(go())
+        assert batch["reused_from_memory"] == 1
+        assert batch["reused_from_store"] == 1
+        assert batch["reused_from_memory"] + batch["reused_from_store"] == len(
+            report.reused
+        )
+        assert batch["extracted"] == 1
+
+
 class TestFailureDomain:
     def test_bad_statement_quarantines_and_leaves_state_intact(self):
         async def go():

@@ -1,7 +1,7 @@
 """Warm-start read-path query accounting.
 
-The warm-start pre-pass knows the whole corpus up front, so its reads must
-be *batched*: ``prime()`` loads lineage records with chunked ``IN (...)``
+A warm run knows the whole corpus up front, so its reads must be
+*batched*: ``prime()`` loads lineage records with chunked ``IN (...)``
 SELECTs keyed by content hash, and the parse cache resolves every source
 fragment through one ``get_sources`` batch.  These tests pin the actual
 SQL statement counts via sqlite's trace callback, so a regression back to
@@ -73,7 +73,7 @@ def test_warm_start_read_path_is_batched(cache_dir):
     assert len(source_selects) == 1, source_selects
     assert "IN (" in source_selects[0]
     # lineage records: one prime() batch; every subsequent key resolves
-    # from the primed LRU without touching sqlite again
+    # from the primed rows without touching sqlite again
     assert len(lineage_selects) == 1, lineage_selects
     assert "IN (" in lineage_selects[0]
 

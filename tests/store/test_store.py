@@ -11,6 +11,7 @@ from repro.core.column_refs import ColumnName
 from repro.core.lineage import LINEAGE_RECORD_VERSION, TableLineage
 from repro.store import LineageStore, make_key, schema_fingerprint
 from repro.store.store import BUSY_TIMEOUT_MS, STORE_FILENAME
+from repro.testing import faults
 
 
 def _entry(name="v"):
@@ -123,8 +124,72 @@ class TestLRUFront:
         store.close()
         warm = LineageStore(tmp_path)
         assert warm.prime(["hash-a", "hash-b", "hash-missing"]) == 2
-        assert len(warm._lru) == 2
+        statements = []
+        warm._connect().set_trace_callback(statements.append)
+        assert warm.get(_key("a")) == _entry("a")
+        assert warm.get(_key("b")) == _entry("b")
+        assert statements == []  # both served from the primed rows
         warm.close()
+
+
+class TestPrimeWindow:
+    def _primed_store(self, tmp_path, **kwargs):
+        store = LineageStore(tmp_path)
+        store.put(_key("a"), _entry("a"), content_hash="hash-a")
+        store.close()
+        return LineageStore(tmp_path, **kwargs)
+
+    def test_primed_hash_without_records_is_known_absent(self, tmp_path):
+        store = self._primed_store(tmp_path)
+        store.prime(["hash-a", "hash-missing"])
+        assert store.may_contain("hash-a")
+        assert not store.may_contain("hash-missing")
+        # a hash the window never read is unknown, never absent
+        assert store.may_contain("hash-unprimed")
+        store.close()
+
+    def test_unprime_releases_the_window(self, tmp_path):
+        store = self._primed_store(tmp_path)
+        store.prime(["hash-a", "hash-missing"])
+        store.unprime()
+        assert store.may_contain("hash-missing")
+        statements = []
+        store._connect().set_trace_callback(statements.append)
+        assert store.get(_key("a")) == _entry("a")
+        assert any("WHERE cache_key" in stmt for stmt in statements)
+        store.close()
+
+    def test_primed_record_is_decoded_once(self, tmp_path, monkeypatch):
+        store = self._primed_store(tmp_path)
+        store.prime(["hash-a"])
+        decoded = []
+        original = json.loads
+        monkeypatch.setattr(
+            "repro.store.store.json.loads",
+            lambda text: decoded.append(text) or original(text),
+        )
+        assert store.get(_key("a")) == _entry("a")
+        assert store.get(_key("a")) == _entry("a")  # LRU front
+        assert len(decoded) == 1
+        store.close()
+
+    def test_disabled_front_cannot_tell_absence(self, tmp_path):
+        store = self._primed_store(tmp_path, lru_size=0)
+        assert store.prime(["hash-a", "hash-missing"]) == 0
+        assert store.may_contain("hash-missing")
+        assert store.get(_key("a")) == _entry("a")
+        store.close()
+
+    def test_degraded_read_cannot_tell_absence(self, tmp_path):
+        store = self._primed_store(tmp_path)
+        faults.install(faults.FaultPlan(seed=0, rates={"store.read": 1.0}))
+        try:
+            assert store.prime(["hash-a", "hash-missing"]) == 0
+        finally:
+            faults.reset()
+        assert store.may_contain("hash-missing")
+        assert store.get(_key("a")) == _entry("a")
+        store.close()
 
 
 class TestCorruption:

@@ -50,12 +50,13 @@ class TestRunnerWarmStart:
         _run(tmp_path)
         changed = SQL.replace("date > '2024-01-01'", "date > '2025-01-01'")
         warm = _run(tmp_path, sources=changed)
-        # staging changed -> it re-extracts, and the pre-pass conservatively
-        # re-extracts its dependents too (their resolved schemas can only be
-        # trusted once the upstream entry is known again), mirroring how the
-        # incremental layer dirties transitive dependents
-        assert "staging" not in warm.report.reused
-        assert "report" not in warm.report.reused
+        # staging changed -> only it re-extracts; its output columns did
+        # not change, so report's key is unchanged and it still hits
+        # (early cutoff)
+        assert warm.report.order == ["staging"]
+        assert warm.report.reused_from == {"report": "store"}
+        cold = LineageXRunner().run(changed)
+        assert diff_graphs(warm.graph, cold.graph).is_identical
         # the second warm run over the changed corpus splices everything
         second = _run(tmp_path, sources=changed)
         assert set(second.report.reused) == {"staging", "report"}
@@ -110,6 +111,38 @@ class TestRunnerWarmStart:
         sources = dict(warehouse.views)
         cold = _run(tmp_path, sources=sources, catalog=warehouse.catalog())
         warm = _run(tmp_path, sources=sources, catalog=warehouse.catalog())
+        assert warm.stats()["num_reused_store"] == 60
+        assert diff_graphs(warm.graph, cold.graph).is_identical
+
+    @pytest.mark.parametrize("mode", ["dag", "stack"])
+    def test_warm_run_splices_every_entry_in_each_mode(self, tmp_path, mode):
+        warehouse = workload.generate_warehouse(
+            num_base_tables=5, num_views=60, seed=13
+        )
+        sources = dict(warehouse.views)
+        # the sources in reverse, so stack mode has to defer to reach
+        # upstream entries before it can look them up
+        reversed_sources = dict(reversed(list(sources.items())))
+        cold = _run(tmp_path, sources=sources, catalog=warehouse.catalog())
+        warm = _run(
+            tmp_path, sources=reversed_sources, catalog=warehouse.catalog(), mode=mode
+        )
+        assert warm.report.order == []
+        assert warm.stats()["num_reused_store"] == 60
+        assert diff_graphs(warm.graph, cold.graph).is_identical
+
+    def test_warm_run_without_lru_front_splices_every_entry(self, tmp_path):
+        warehouse = workload.generate_warehouse(
+            num_base_tables=5, num_views=60, seed=13
+        )
+        sources = dict(warehouse.views)
+        cold = _run(tmp_path, sources=sources, catalog=warehouse.catalog())
+        store = LineageStore(tmp_path / "cache", lru_size=0)
+        try:
+            warm = LineageXRunner(catalog=warehouse.catalog(), store=store).run(sources)
+        finally:
+            store.close()
+        assert warm.report.order == []
         assert warm.stats()["num_reused_store"] == 60
         assert diff_graphs(warm.graph, cold.graph).is_identical
 
