@@ -51,14 +51,23 @@ def _topological_tables(graph):
 
 
 def _kahn_order(names, successors, predecessors):
-    """Kahn's algorithm over prebuilt table adjacency (the shared kernel)."""
+    """Kahn's algorithm over prebuilt table adjacency (the shared kernel).
+
+    A relation that reads what it writes (an upsert, a self-reading
+    ``UPDATE`` or ``MERGE``) is not its own dependency, as in
+    :mod:`repro.core.dag`: its self-edge counts neither here nor in
+    :func:`_terminal` and :func:`_roots`.
+    """
     known = set(names)
     # a source table may be referenced without ever being materialised as a
     # relation node (e.g. no column reference hits it); such phantom edges
     # must not count towards the indegree or everything downstream of them
     # would be reported as cyclic
     indegree = {
-        name: sum(1 for source in predecessors.get(name, ()) if source in known)
+        name: sum(
+            1 for source in predecessors.get(name, ())
+            if source in known and source != name
+        )
         for name in names
     }
     queue = [name for name in names if indegree[name] == 0]
@@ -69,6 +78,8 @@ def _kahn_order(names, successors, predecessors):
         cursor += 1
         order.append(name)
         for dependent in successors.get(name, ()):
+            if dependent == name:
+                continue
             indegree[dependent] -= 1
             if indegree[dependent] == 0:
                 queue.append(dependent)
@@ -77,6 +88,22 @@ def _kahn_order(names, successors, predecessors):
             sorted(name for name in names if indegree[name] > 0)
         )
     return order
+
+
+def _read_by_others(name, successors):
+    return any(dependent != name for dependent in successors.get(name, ()))
+
+
+def _terminal(view_names, successors):
+    """The shared kernel of :func:`terminal_views`."""
+    return sorted(
+        name for name in view_names if not _read_by_others(name, successors)
+    )
+
+
+def _roots(base_names, successors):
+    """The shared kernel of :func:`root_tables`."""
+    return sorted(name for name in base_names if _read_by_others(name, successors))
 
 
 def creation_order(graph):
@@ -100,9 +127,8 @@ def terminal_views(graph):
     index = _reach_index(graph)
     if index is not None:
         return list(index.terminal_views())
-    successors = graph.table_successors()
-    return sorted(
-        entry.name for entry in graph.views if not successors.get(entry.name)
+    return _terminal(
+        (entry.name for entry in graph.views), graph.table_successors()
     )
 
 
@@ -111,9 +137,8 @@ def root_tables(graph):
     index = _reach_index(graph)
     if index is not None:
         return list(index.root_tables())
-    successors = graph.table_successors()
-    return sorted(
-        entry.name for entry in graph.base_tables if successors.get(entry.name)
+    return _roots(
+        (entry.name for entry in graph.base_tables), graph.table_successors()
     )
 
 

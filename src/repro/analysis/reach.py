@@ -35,12 +35,19 @@ incrementally for the append-only case (new relations reading existing
 ones — the serving daemon's steady state): new nodes get their own
 appended forest and old→new edges become exception entries, leaving the
 existing labelling untouched.  Anything else falls back to a full build.
+
+The partition walk is vectorised with numpy, and this is the one module
+that imports it.  Without numpy no index is built at all
+(:meth:`ReachabilityIndex.build` returns ``None``), and every caller
+answers from the kind-tracking BFS and the direct table-level orders it
+already uses on a graph without a current index.
 """
 
 from ..core.lineage import EDGE_BOTH, EDGE_CONTRIBUTE, EDGE_REFERENCE
 from ..core.errors import CyclicDependencyError
+from .ordering import _kahn_order, _roots, _terminal
 
-try:  # the vector fast path; the pure-Python walk below is the fallback
+try:
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
@@ -175,7 +182,6 @@ class _Vectors:
     """One direction's position-domain arrays for the numpy fast path."""
 
     __slots__ = (
-        "order_np",      # position -> comp id (int64)
         "ones",          # \x01 template for claiming slices of the seen map
         "post_ints",     # position -> end of descendant slice (plain list)
         "indptr_ints",   # position -> exception CSR offset (plain list)
@@ -184,7 +190,6 @@ class _Vectors:
         "cls_pos",       # position -> singleton purity class, -1 multi (int8)
         "names_pos",     # position -> singleton member's name or None
         "sole_pos",      # position -> singleton member's node id or -1
-        "node_pos",      # node id -> its component's position (int64)
         "names_np",      # node id -> column name (object)
         "mixed_ptr",     # node id -> row in the mixed CSRs, or -1 (int64)
         "mixed_rows",    # number of mixed-purity nodes
@@ -357,7 +362,6 @@ class ReachabilityIndex:
         "_comp_of", "_members", "_cyclic",
         "_forests",
         "_pure",
-        "_mixed_in",
         "_vector",
         "_cache",
         "_table_names", "_table_forward", "_table_reverse",
@@ -370,7 +374,14 @@ class ReachabilityIndex:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, graph):
-        """Full build from ``graph``'s cached adjacency index."""
+        """Full build from ``graph``'s cached adjacency index.
+
+        Returns ``None`` when numpy cannot be imported: the graph then
+        holds no index, and impact, explore and ordering queries take
+        their BFS and direct-ordering paths.
+        """
+        if _np is None:
+            return None
         index = graph._ensure_index()
         self = cls.__new__(cls)
         self.revision = 0
@@ -438,22 +449,12 @@ class ReachabilityIndex:
             _DOWN: self._purity(reverse, ids, n),
             _UP: self._purity(forward, ids, n),
         }
-        # eager scan groups for every mixed-purity node: first-query
-        # latency must not pay a per-node conversion the build can do once
-        self._mixed_in = {_DOWN: {}, _UP: {}}
-        for direction, in_adjacency in ((_DOWN, reverse), (_UP, forward)):
-            pure = self._pure[direction]
-            for node in in_adjacency:
-                node_id = ids[node]
-                if not pure[node_id]:
-                    self._mixed_edges(node_id, direction)
         self._cache = {}
         self._vector = {}
-        if _np is not None:
-            # eager: a frozen snapshot's first /impact reader must not pay
-            # the position-array derivation inside its own latency
-            self._vectors(_DOWN)
-            self._vectors(_UP)
+        # eager: a frozen snapshot's first /impact reader must not pay
+        # the position-array derivation inside its own latency
+        self._vectors(_DOWN)
+        self._vectors(_UP)
         return self
 
     def _init_graph_views(self, graph):
@@ -550,14 +551,6 @@ class ReachabilityIndex:
         clone._forward = new_forward
         clone._reverse = new_reverse
         clone._cache = {}
-        # scan groups carry over by copy: downstream in-edges of old nodes
-        # are untouched by an append; upstream groups are dropped exactly
-        # for the old nodes that gained out-edges (rebuilt lazily), and
-        # new nodes fill in lazily on first query
-        up_groups = dict(self._mixed_in[_UP])
-        for old_id in gained:
-            up_groups.pop(old_id, None)
-        clone._mixed_in = {_DOWN: dict(self._mixed_in[_DOWN]), _UP: up_groups}
         # position arrays are derived lazily on the clone: the refresh
         # itself stays delta-sized, and the first query per direction
         # re-derives in vectorised time
@@ -673,47 +666,6 @@ class ReachabilityIndex:
     # ------------------------------------------------------------------
     # Column-level queries
     # ------------------------------------------------------------------
-    def _closure_comps(self, start_comp, forest):
-        pre = forest.pre
-        post = forest.post
-        order = forest.order
-        exceptions = forest.exceptions
-        seen = set()
-        pending = [start_comp]
-        while pending:
-            comp = pending.pop()
-            if comp in seen:
-                continue
-            for member in order[pre[comp]:post[comp]]:
-                if member in seen:
-                    continue
-                seen.add(member)
-                extra = exceptions[member]
-                if extra:
-                    pending.extend(extra)
-        return seen
-
-    def closure(self, column, direction=_DOWN):
-        """Node ids strictly reachable from ``column`` (BFS-equivalent set).
-
-        The start itself is included exactly when it can reach itself —
-        i.e. it sits in a cyclic component (self-read or larger cycle) —
-        matching the BFS, which only reports re-reached starts.
-        """
-        start_id = self._ids.get(column)
-        if start_id is None:
-            return ()
-        forest = self._forests[direction]
-        start_comp = self._comp_of[start_id]
-        comps = self._closure_comps(start_comp, forest)
-        if not self._cyclic[start_comp]:
-            comps.discard(start_comp)
-        members = self._members
-        reached = []
-        for comp in comps:
-            reached.extend(members[comp])
-        return reached
-
     def partition(self, column, direction=_DOWN):
         """``(contributed, referenced, both)`` :class:`NameSet` views.
 
@@ -732,100 +684,12 @@ class ReachabilityIndex:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if _np is not None:
-            parts = self._partition_vector(start_id, direction)
-        else:
-            parts = self._partition_python(start_id, direction)
+        parts = self._partition_vector(start_id, direction)
         result = tuple(NameSet(names) for names in parts)
         if len(self._cache) >= _RESULT_CACHE_LIMIT:
             self._cache.clear()
         self._cache[key] = result
         return result
-
-    def _partition_python(self, start_id, direction):
-        """Pure-Python partition walk (the no-numpy fallback).
-
-        One fused pass: classify members while the forest walk discovers
-        them, instead of materialising the closure and re-iterating it.
-        Pure-purity nodes (the overwhelming majority) are classified
-        inline from the static per-node class; mixed nodes are deferred
-        until the walk completes, because their class depends on which
-        of their in-edge sources are reached — answered at component
-        granularity via the walk's ``seen`` set (an acyclic start
-        component is a singleton, so its presence can never mark a
-        non-reached sibling as a member).
-        """
-        start_comp = self._comp_of[start_id]
-        skip_start = None if self._cyclic[start_comp] else start_id
-        forest = self._forests[direction]
-        pre = forest.pre
-        post = forest.post
-        order = forest.order
-        exceptions = forest.exceptions
-        members = self._members
-        name_at = self._names.__getitem__
-        comp_at = self._comp_of.__getitem__
-        pure_at = self._pure[direction].__getitem__
-        mixed_cache = self._mixed_in[direction]
-
-        contributed = []
-        referenced = []
-        both = []
-        deferred = []
-        seen = set()
-        seen_add = seen.add
-        pending = [start_comp]
-        while pending:
-            comp = pending.pop()
-            if comp in seen:
-                continue
-            for member_comp in order[pre[comp]:post[comp]]:
-                if member_comp in seen:
-                    continue
-                seen_add(member_comp)
-                extra = exceptions[member_comp]
-                if extra:
-                    pending.extend(extra)
-                for node_id in members[member_comp]:
-                    if node_id == skip_start:
-                        continue
-                    bits = pure_at(node_id)
-                    if bits == 1:
-                        contributed.append(name_at(node_id))
-                    elif bits == 2:
-                        referenced.append(name_at(node_id))
-                    elif bits == 3:
-                        both.append(name_at(node_id))
-                    else:
-                        deferred.append(node_id)
-
-        for node_id in deferred:
-            entry = mixed_cache.get(node_id)
-            if entry is None:
-                entry = self._mixed_edges(node_id, direction)
-            both_sources, contribute_sources, reference_sources = entry
-            bits = 0
-            for u in both_sources:
-                if comp_at(u) in seen:
-                    bits = 3
-                    break
-            if bits != 3:
-                for u in contribute_sources:
-                    if comp_at(u) in seen:
-                        bits = 1
-                        break
-                for u in reference_sources:
-                    if comp_at(u) in seen:
-                        bits |= 2
-                        break
-            if bits == 1:
-                contributed.append(name_at(node_id))
-            elif bits == 2:
-                referenced.append(name_at(node_id))
-            elif bits == 3:
-                both.append(name_at(node_id))
-
-        return contributed, referenced, both
 
     def _vectors(self, direction):
         """Position-domain arrays for the numpy partition walk (memoised).
@@ -840,15 +704,13 @@ class ReachabilityIndex:
         member of a singleton component (``-1`` flags multi-member
         components, resolved member-by-member in Python — they are rare);
         ``names_pos``/``sole_pos`` carry the singleton's column name and
-        node id; ``node_pos`` maps any node id to its component's
-        position for mixed-kind membership tests.
+        node id.
         """
         forest = self._forests[direction]
         order = forest.order
         pre = forest.pre
         n_comp = len(order)
         vec = _Vectors()
-        vec.order_np = _np.array(order, dtype=_np.int64)
         vec.ones = b"\x01" * n_comp
         # scalar-indexed arrays stay plain lists: the walk reads them one
         # int at a time, where list indexing beats numpy scalar boxing
@@ -892,18 +754,11 @@ class ReachabilityIndex:
         vec.names_pos = names_pos
         vec.sole_pos = sole_pos
 
-        if self._comp_of:
-            vec.node_pos = _np.array(pre, dtype=_np.int64)[
-                _np.array(self._comp_of, dtype=_np.int64)
-            ]
-        else:
-            vec.node_pos = _np.empty(0, dtype=_np.int64)
         vec.names_np = _np.fromiter(names, dtype=object, count=n)
 
         # mixed-purity in-edge sources as kind-grouped CSRs over source
         # *positions*: one reduceat over the whole population classifies
-        # every reached mixed node per query, replacing the per-node
-        # Python source scans of the fallback
+        # every reached mixed node per query
         in_adjacency = self._reverse if direction == _DOWN else self._forward
         ids = self._ids
         comp_of = self._comp_of
@@ -946,7 +801,7 @@ class ReachabilityIndex:
         The forest walk becomes slice arithmetic: each stack pop claims
         one subtree's worth of unseen positions in a single boolean-mask
         operation and batch-filters that whole subtree's exception
-        targets, so the per-edge Python loop of the fallback disappears.
+        targets, so there is no per-edge Python loop.
         Classification is three mask-gathers over the singleton purity
         array; only multi-member components and genuinely mixed-kind
         nodes drop back to per-node Python.
@@ -965,7 +820,7 @@ class ReachabilityIndex:
         # the seen map lives in a bytearray (C-speed scalar reads and
         # slice claims) with a shared-memory numpy view for the batched
         # operations — both see every write instantly
-        seen_raw = bytearray(len(vec.order_np))
+        seen_raw = bytearray(len(ones))
         seen_u8 = _np.frombuffer(seen_raw, dtype=_np.uint8)
         stack = [p0]
         pop = stack.pop
@@ -1099,7 +954,7 @@ class ReachabilityIndex:
         population: a node's answer class is 3 when any "both"-kind
         in-edge source is reached, else the OR of 1 (any reached
         contribute source) and 2 (any reached reference source) —
-        identical to the fallback's per-node early-exit scans.
+        identical to the per-row early-exit scans of :meth:`_mixed_bits_one`.
         """
         rows = vec.mixed_rows
 
@@ -1124,29 +979,6 @@ class ReachabilityIndex:
         )
         bits[has_both] = 3
         return bits
-
-    def _mixed_edges(self, node_id, direction):
-        """In-edge source ids of a mixed-purity node, grouped by edge kind.
-
-        ``(both, contribute, reference)`` int tuples, memoised per node —
-        the partition scan then tests small int sets (with per-group early
-        exit) instead of iterating string-keyed adjacency dicts on every
-        query.  Derivation is pure (the adjacency captured at build), so
-        the memo can never go stale within one index version.
-        """
-        in_adjacency = self._reverse if direction == _DOWN else self._forward
-        ids = self._ids
-        groups = ([], [], [])
-        for source, kind in in_adjacency[self._names[node_id]].items():
-            bits = _KIND_BITS[kind]
-            groups[0 if bits == 3 else bits].append(ids[source])
-        entry = (tuple(groups[0]), tuple(groups[1]), tuple(groups[2]))
-        self._mixed_in[direction][node_id] = entry
-        return entry
-
-    def knows(self, column):
-        """Whether ``column`` is a node of the indexed edge set."""
-        return column in self._ids
 
     def deep_starts(self, direction=_DOWN, limit=20):
         """Columns with the largest spanning-subtree spans, deepest first.
@@ -1182,7 +1014,6 @@ class ReachabilityIndex:
         """
         cached = self._table_cache.get("order")
         if cached is None:
-            from .ordering import _kahn_order
             try:
                 cached = ("ok", _kahn_order(
                     self._table_names, self._table_forward, self._table_reverse
@@ -1198,20 +1029,14 @@ class ReachabilityIndex:
     def terminal_views(self):
         cached = self._table_cache.get("terminal")
         if cached is None:
-            successors = self._table_forward
-            cached = sorted(
-                name for name in self._view_names if not successors.get(name)
-            )
+            cached = _terminal(self._view_names, self._table_forward)
             self._table_cache["terminal"] = cached
         return cached
 
     def root_tables(self):
         cached = self._table_cache.get("roots")
         if cached is None:
-            successors = self._table_forward
-            cached = sorted(
-                name for name in self._base_names if successors.get(name)
-            )
+            cached = _roots(self._base_names, self._table_forward)
             self._table_cache["roots"] = cached
         return cached
 

@@ -12,12 +12,18 @@ against later mutation of the source graph.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.impact import impact_analysis
-from repro.analysis.ordering import creation_order, root_tables, terminal_views
+from repro.analysis.impact import explore, impact_analysis
+from repro.analysis.ordering import (
+    creation_order,
+    drop_order,
+    root_tables,
+    terminal_views,
+)
 from repro.analysis.reach import ReachabilityIndex
 from repro.core.column_refs import ColumnName
 from repro.core.errors import UnknownColumnError
 from repro.core.lineage import LineageGraph, TableLineage
+from repro.core.runner import lineagex
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +249,43 @@ class TestOrderingFromIndex:
         with pytest.raises(CyclicDependencyError):  # memoised outcome re-raises
             creation_order(frozen)
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_self_reading_relation_is_not_a_cycle(self, frozen):
+        """An upsert reads the table it writes; the self-edge is not a
+        dependency, so everything downstream still orders."""
+        graph = lineagex({
+            "src": "CREATE TABLE src (id INT, v INT)",
+            "stage": (
+                "INSERT INTO stage (id, v) SELECT id, v FROM src "
+                "ON CONFLICT (id) DO UPDATE SET v = stage.v + EXCLUDED.v"
+            ),
+            "report": "CREATE VIEW report AS SELECT id, v FROM stage",
+        }).graph
+        assert "stage" in graph.table_successors()["stage"]
+        if frozen:
+            graph = graph.freeze()
+        assert creation_order(graph) == ["stage", "report"]
+        assert drop_order(graph) == ["report", "stage"]
+        assert terminal_views(graph) == ["report"]
+        assert root_tables(graph) == ["src"]
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_view_read_only_by_itself_is_terminal(self, frozen):
+        graph = LineageGraph()
+        base = TableLineage(name="base", is_base_table=True)
+        base.add_output_column("a")
+        graph.add(base)
+        solo = TableLineage(name="solo")
+        solo.add_output_column("a")
+        solo.add_contribution("a", ColumnName.of("base", "a"))
+        solo.add_reference(ColumnName.of("solo", "a"))
+        graph.add(solo)
+        if frozen:
+            graph = graph.freeze()
+        assert terminal_views(graph) == ["solo"]
+        assert root_tables(graph) == ["base"]
+        assert creation_order(graph) == ["solo"]
+
 
 class TestQuerySurface:
     def test_max_depth_limits_hops(self, example1_graph):
@@ -284,10 +327,10 @@ class TestQuerySurface:
         }
 
 
-class TestPythonFallback:
-    """With numpy absent (``reach._np = None``) the index must build and
-    answer identically — the pure-Python walk is the portability floor the
-    vectorised path is differentially checked against."""
+class TestWithoutNumpy:
+    """With numpy absent (``reach._np = None``) no index is built, and
+    every query answers from the BFS and direct-ordering paths exactly as
+    the numpy-built index does."""
 
     _RECIPE = (
         6,
@@ -301,46 +344,50 @@ class TestPythonFallback:
         ],
     )
 
-    def _all_starts(self, graph):
+    @staticmethod
+    def _answers(graph):
         columns = set(graph.column_adjacency("downstream"))
         columns |= set(graph.column_adjacency("upstream"))
-        return sorted(columns)
-
-    def test_fallback_build_matches_numpy_and_bfs(self, monkeypatch):
-        import repro.analysis.reach as reach_module
-
-        numpy_frozen = _build_graph(self._RECIPE).freeze()
-        monkeypatch.setattr(reach_module, "_np", None)
-        graph = _build_graph(self._RECIPE)
-        frozen = graph.freeze()
-        # no position arrays are derived when numpy is unavailable
-        assert frozen.reachability()._vector == {}
-        _assert_index_matches_bfs(graph, frozen)
-        for column in self._all_starts(graph):
-            for direction in ("downstream", "upstream"):
-                assert _partition(
-                    impact_analysis(frozen, column, direction=direction)
-                ) == _partition(
-                    impact_analysis(numpy_frozen, column, direction=direction)
-                )
-
-    def test_numpy_built_index_answers_without_numpy(self, monkeypatch):
-        """Dispatch is per query: an index built with numpy keeps serving
-        (via the Python walk) if numpy disappears afterwards."""
-        import repro.analysis.reach as reach_module
-
-        graph = _build_graph(self._RECIPE)
-        frozen = graph.freeze()
-        expected = {
-            (column, direction): _partition(
-                impact_analysis(frozen, column, direction=direction)
+        return {
+            (column, direction, method): _partition(
+                impact_analysis(graph, column, direction=direction, method=method)
             )
-            for column in self._all_starts(graph)
+            for column in sorted(columns)
             for direction in ("downstream", "upstream")
+            for method in ("auto", "index")
         }
-        frozen.reachability()._cache.clear()
+
+    @staticmethod
+    def _table_answers(graph):
+        return {
+            "creation_order": creation_order(graph),
+            "drop_order": drop_order(graph),
+            "terminal_views": terminal_views(graph),
+            "root_tables": root_tables(graph),
+            "explore": {
+                table: explore(graph, table, hops=None) for table in graph.relations
+            },
+        }
+
+    def test_no_index_and_same_answers(self, monkeypatch):
+        import repro.analysis.reach as reach_module
+        from repro.datasets import example1
+
+        with_numpy = _build_graph(self._RECIPE).freeze()
+        assert with_numpy.reachability() is not None
+        example_with_numpy = lineagex(example1.QUERY_LOG).graph.freeze()
+        expected = self._answers(with_numpy)
+        expected_tables = self._table_answers(example_with_numpy)
+
         monkeypatch.setattr(reach_module, "_np", None)
-        for (column, direction), parts in expected.items():
-            assert _partition(
-                impact_analysis(frozen, column, direction=direction)
-            ) == parts
+        graph = _build_graph(self._RECIPE)
+        assert graph.reachability() is None
+        frozen = graph.freeze()
+        assert frozen.reachability() is None
+        assert self._answers(graph) == expected
+        assert self._answers(frozen) == expected
+
+        example = lineagex(example1.QUERY_LOG).graph
+        assert example.reachability() is None
+        assert self._table_answers(example) == expected_tables
+        assert self._table_answers(example.freeze()) == expected_tables
