@@ -13,17 +13,18 @@ that trade on the scale tier the index was built for:
   BFS timings run over the same start set, split into a *deep* group
   (the largest spanning-tree spans, via ``ReachabilityIndex.
   deep_starts``) and a seeded *mixed* sample;
-* **build cost** — the one-time price: full index construction time and
-  the label/exception footprint from ``stats()``;
+* **build cost** — the one-time price: full index construction time
+  (the first ``frozen.reachability()`` call, which builds and pins the
+  index) and the label/exception footprint from ``stats()``;
 * **busy serving reads** — ``GET /impact`` p50/p99 against the daemon
   while a fresh corpus ingests, the same phase ``bench_serve.py``
-  measures; the index is pinned into every published snapshot, so this
-  must not regress against the committed ``BENCH_serve.json`` busy-read
-  baseline.
+  measures; published snapshots carry no index, so these reads answer
+  by BFS, and they must not regress against the committed
+  ``BENCH_serve.json`` busy-read baseline.
 
 Both sides are *warmed* before timing (the live graph's lazy adjacency
-index and the frozen graph's pinned reachability index), so the numbers
-compare query cost, not one-time lazy construction.
+index and the frozen graph's reachability index, built once and pinned),
+so the numbers compare query cost, not one-time lazy construction.
 
 Gates (off-CI, or ``BENCH_STRICT=1``; never in quick mode):
 
@@ -134,14 +135,14 @@ def _time_queries(graph, starts, method):
 def _query_metrics(graph, frozen, deep, mixed):
     # warm both traversal substrates so the timings below compare query
     # cost, not one-time lazy construction: the live graph's adjacency
-    # index (BFS side) and the frozen graph's pinned reachability index
-    # would otherwise land inside the first timed query
+    # index (BFS side) and the frozen graph's reachability index (built
+    # on first use) would otherwise land inside the first timed query
     graph.column_adjacency("downstream")
     frozen.reachability()
     metrics = {}
     for group, starts in (("deep", deep), ("mixed", mixed)):
         bfs_lat, bfs_answer = _time_queries(graph, starts, "bfs")
-        idx_lat, idx_answer = _time_queries(frozen, starts, "auto")
+        idx_lat, idx_answer = _time_queries(frozen, starts, "index")
         assert idx_answer == bfs_answer, (
             f"{group}: indexed answers diverge from BFS "
             f"({idx_answer} vs {bfs_answer} total columns)"
@@ -219,10 +220,10 @@ async def _bench_busy_serving(tmp_dir):
 def test_impact_benchmark(tmp_path):
     graph, extract_seconds = _build_graph()
 
+    frozen = graph.freeze()
     started = time.perf_counter()
-    frozen = graph.freeze()  # pins an eagerly built index
+    index = frozen.reachability()  # builds and pins the index
     build_seconds = time.perf_counter() - started
-    index = frozen.reachability()
 
     deep, mixed = _pick_starts(index, frozen)
     queries = _query_metrics(graph, frozen, deep, mixed)

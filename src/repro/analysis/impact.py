@@ -206,9 +206,11 @@ def impact_analysis(graph, column, direction="downstream", *, max_depth=None,
         stores unbounded closures only).
     method:
         ``"auto"`` (default) answers from the graph's reachability index
-        when one is current — frozen snapshot graphs always are — and
-        falls back to BFS on cold graphs; ``"index"`` forces a build;
-        ``"bfs"`` forces the traversal (the differential reference).
+        when one is current and by BFS otherwise — published snapshots
+        carry none, so served reads take the BFS; ``"index"`` builds (and
+        on a snapshot pins) an index first, for many queries against one
+        graph version; ``"bfs"`` forces the traversal (the differential
+        reference).
     missing:
         ``"empty"`` (default) keeps the historical behaviour: an unknown
         start column yields an empty result, indistinguishable from a
@@ -323,17 +325,9 @@ def explore(graph, table, hops=1):
     Returns ``(upstream_tables, downstream_tables)`` — each a set of table
     names reachable within the requested number of hops over table-level
     edges, excluding ``table`` itself.  ``hops=None`` means the full
-    transitive closure; when the graph carries a current reachability
-    index (snapshot graphs always do) that case is answered from the
-    index's memoised table closures instead of traversing.
+    transitive closure.  Both walk the table-level adjacency on every
+    call, on live and frozen graphs alike.
     """
-    if hops is None:
-        index = graph.reachability(build=False)
-        if index is not None:
-            return (
-                set(index.table_closure(table, "upstream")),
-                set(index.table_closure(table, "downstream")),
-            )
     downstream = _tables_within(graph.table_successors(), table, hops)
     upstream = _tables_within(graph.table_predecessors(), table, hops)
     return upstream, downstream

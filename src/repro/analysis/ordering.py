@@ -4,7 +4,10 @@ The paper's introduction motivates column lineage with "storage refactoring
 and workflow migration": both need to know in which order views can be
 (re)created and which objects nothing depends on.  These helpers answer that
 from a :class:`~repro.core.lineage.LineageGraph`, traversing its cached
-table-level adjacency index directly (no networkx graph is built):
+table-level adjacency index directly (no networkx graph is built).  Live
+and frozen graphs answer alike and nothing is memoised: each call runs
+one pass over the adjacency, so a snapshot's ``/ordering`` read pays one
+Kahn pass.
 
 * :func:`creation_order` — a topological order of the views (dependencies
   first), i.e. the order a migration script must replay them in;
@@ -18,46 +21,20 @@ table-level adjacency index directly (no networkx graph is built):
 from ..core.errors import CyclicDependencyError
 
 
-def _reach_index(graph):
-    """The graph's current reachability index, or ``None`` (never builds).
-
-    Frozen snapshot graphs always answer with their pinned index, so the
-    serving daemon's ``/ordering`` reads come from precomputed (and
-    memoised) orders; live graphs only answer when an index was already
-    built for the current version.
-    """
-    reachability = getattr(graph, "reachability", None)
-    if reachability is None:
-        return None
-    return reachability(build=False)
-
-
 def _topological_tables(graph):
     """All relations in dependency order (Kahn's algorithm, deterministic).
 
     Ties are broken by the graph's relation insertion order.  Raises
     :class:`~repro.core.errors.CyclicDependencyError` if the table-level
     dependencies are cyclic (which the extractor itself would normally have
-    rejected).  When the graph carries a current reachability index the
-    memoised order stored there is returned instead of re-running Kahn —
-    the index captures the same inputs, so the output is identical.
-    """
-    index = _reach_index(graph)
-    if index is not None:
-        return list(index.table_order())
-    return _kahn_order(
-        list(graph.relations), graph.table_successors(), graph.table_predecessors()
-    )
-
-
-def _kahn_order(names, successors, predecessors):
-    """Kahn's algorithm over prebuilt table adjacency (the shared kernel).
-
-    A relation that reads what it writes (an upsert, a self-reading
-    ``UPDATE`` or ``MERGE``) is not its own dependency, as in
+    rejected).  A relation that reads what it writes (an upsert, a
+    self-reading ``UPDATE`` or ``MERGE``) is not its own dependency, as in
     :mod:`repro.core.dag`: its self-edge counts neither here nor in
-    :func:`_terminal` and :func:`_roots`.
+    :func:`terminal_views` and :func:`root_tables`.
     """
+    names = list(graph.relations)
+    successors = graph.table_successors()
+    predecessors = graph.table_predecessors()
     known = set(names)
     # a source table may be referenced without ever being materialised as a
     # relation node (e.g. no column reference hits it); such phantom edges
@@ -94,18 +71,6 @@ def _read_by_others(name, successors):
     return any(dependent != name for dependent in successors.get(name, ()))
 
 
-def _terminal(view_names, successors):
-    """The shared kernel of :func:`terminal_views`."""
-    return sorted(
-        name for name in view_names if not _read_by_others(name, successors)
-    )
-
-
-def _roots(base_names, successors):
-    """The shared kernel of :func:`root_tables`."""
-    return sorted(name for name in base_names if _read_by_others(name, successors))
-
-
 def creation_order(graph):
     """Views in dependency order (every view appears after its sources).
 
@@ -124,21 +89,19 @@ def drop_order(graph):
 
 def terminal_views(graph):
     """Views that no other relation reads (the "leaves" of the warehouse)."""
-    index = _reach_index(graph)
-    if index is not None:
-        return list(index.terminal_views())
-    return _terminal(
-        (entry.name for entry in graph.views), graph.table_successors()
+    successors = graph.table_successors()
+    return sorted(
+        entry.name for entry in graph.views
+        if not _read_by_others(entry.name, successors)
     )
 
 
 def root_tables(graph):
     """Base tables that at least one view reads directly."""
-    index = _reach_index(graph)
-    if index is not None:
-        return list(index.root_tables())
-    return _roots(
-        (entry.name for entry in graph.base_tables), graph.table_successors()
+    successors = graph.table_successors()
+    return sorted(
+        entry.name for entry in graph.base_tables
+        if _read_by_others(entry.name, successors)
     )
 
 

@@ -1,15 +1,18 @@
 """Precomputed reachability index over the column lineage graph.
 
-The interactive workflows of Section IV — impact analysis from a column,
-dependency ordering, explore — are all transitive-closure questions.  The
-kind-tracking BFS in :mod:`repro.analysis.impact` answers them in
-O(traversal): every query walks every edge it can reach, which on the
-100k-statement tier means a single ``/impact`` call touches hundreds of
-thousands of edges while the serving daemon holds that work on its read
-path.
+Impact analysis from a column (Section IV) is a transitive-closure
+question.  The kind-tracking BFS in :mod:`repro.analysis.impact` answers
+it in O(traversal): every query walks every edge it can reach.  That is
+the cheapest answer for the small closures served traffic asks for, and
+it is what published snapshots and cold graphs use.  On deep chains at
+the 100k-statement tier, though, a single query touches hundreds of
+thousands of edges.
 
 :class:`ReachabilityIndex` precomputes, once per graph version, enough
-structure to answer the same queries in O(answer size):
+structure to answer the same queries in O(answer size).  It pays for
+itself when many queries run against one graph version, so it is built
+only when a caller asks (``graph.reachability()``,
+``impact_analysis(..., method="index")``):
 
 * **SCC condensation** (iterative Tarjan, cycle- and self-read-safe): the
   column graph collapses to a DAG of strongly connected components.
@@ -25,27 +28,22 @@ structure to answer the same queries in O(answer size):
   classified by a table lookup, and only genuinely mixed nodes pay a
   short in-edge scan (matching the BFS semantics exactly: a reached
   node's kinds are the kinds of its in-edges from reached predecessors).
-* **Table-level orders** (the exact Kahn order of
-  :mod:`repro.analysis.ordering`, cached) so ``/ordering`` readers answer
-  from the snapshot without re-traversing.
 
 Indexes are immutable once built; a graph swaps in a fresh instance when
 its state token moves.  :meth:`ReachabilityIndex.refreshed` rebuilds
 incrementally for the append-only case (new relations reading existing
-ones — the serving daemon's steady state): new nodes get their own
-appended forest and old→new edges become exception entries, leaving the
-existing labelling untouched.  Anything else falls back to a full build.
+ones): new nodes get their own appended forest and old→new edges become
+exception entries, leaving the existing labelling untouched.  Anything
+else falls back to a full build.
 
 The partition walk is vectorised with numpy, and this is the one module
 that imports it.  Without numpy no index is built at all
 (:meth:`ReachabilityIndex.build` returns ``None``), and every caller
-answers from the kind-tracking BFS and the direct table-level orders it
-already uses on a graph without a current index.
+answers from the kind-tracking BFS it already uses on a graph without a
+current index.
 """
 
 from ..core.lineage import EDGE_BOTH, EDGE_CONTRIBUTE, EDGE_REFERENCE
-from ..core.errors import CyclicDependencyError
-from .ordering import _kahn_order, _roots, _terminal
 
 try:
     import numpy as _np
@@ -364,9 +362,6 @@ class ReachabilityIndex:
         "_pure",
         "_vector",
         "_cache",
-        "_table_names", "_table_forward", "_table_reverse",
-        "_view_names", "_base_names",
-        "_table_cache",
     )
 
     # ------------------------------------------------------------------
@@ -385,7 +380,6 @@ class ReachabilityIndex:
         index = graph._ensure_index()
         self = cls.__new__(cls)
         self.revision = 0
-        self._init_graph_views(graph)
         forward, reverse = index.forward, index.reverse
         self._forward = forward
         self._reverse = reverse
@@ -451,24 +445,11 @@ class ReachabilityIndex:
         }
         self._cache = {}
         self._vector = {}
-        # eager: a frozen snapshot's first /impact reader must not pay
-        # the position-array derivation inside its own latency
+        # eager: the first query must not pay the position-array
+        # derivation inside its own latency
         self._vectors(_DOWN)
         self._vectors(_UP)
         return self
-
-    def _init_graph_views(self, graph):
-        index = graph._ensure_index()
-        self._table_names = list(graph.relations)
-        self._table_forward = index.table_forward
-        self._table_reverse = index.table_reverse
-        views = []
-        bases = []
-        for name, entry in graph.relations.items():
-            (bases if entry.is_base_table else views).append(name)
-        self._view_names = views
-        self._base_names = bases
-        self._table_cache = {}
 
     @staticmethod
     def _purity(in_adjacency, ids, n):
@@ -486,9 +467,9 @@ class ReachabilityIndex:
         Applicable exactly when the graph grew append-only relative to the
         graph this index was built from: every old node kept its edges and
         kinds, gained edges (if any) point at brand-new nodes, and new
-        nodes only point at new nodes.  That is the steady state of the
-        serving daemon (each batch adds views reading existing relations),
-        and the patch costs O(delta + compare) instead of a full rebuild.
+        nodes only point at new nodes.  That is the shape of batch ingest
+        (each batch adds views reading existing relations), and the patch
+        costs O(delta + compare) instead of a full rebuild.
         Returns ``None`` whenever the delta is not append-only — the
         caller falls back to :meth:`build`.
         """
@@ -547,7 +528,6 @@ class ReachabilityIndex:
 
         clone = ReachabilityIndex.__new__(ReachabilityIndex)
         clone.revision = self.revision + 1
-        clone._init_graph_views(graph)
         clone._forward = new_forward
         clone._reverse = new_reverse
         clone._cache = {}
@@ -1000,65 +980,6 @@ class ReachabilityIndex:
             self._names[self._members[comp][0]]
             for _, comp in spans[: max(0, int(limit))]
         ]
-
-    # ------------------------------------------------------------------
-    # Table-level queries (the /ordering read path)
-    # ------------------------------------------------------------------
-    def table_order(self):
-        """All relations in the exact Kahn order of ``_topological_tables``.
-
-        Memoised, including the cyclic outcome: repeated ``/ordering``
-        reads against one snapshot re-raise an equivalent
-        :class:`~repro.core.errors.CyclicDependencyError` without
-        re-running Kahn.
-        """
-        cached = self._table_cache.get("order")
-        if cached is None:
-            try:
-                cached = ("ok", _kahn_order(
-                    self._table_names, self._table_forward, self._table_reverse
-                ))
-            except CyclicDependencyError as error:
-                cached = ("cycle", list(error.cycle))
-            self._table_cache["order"] = cached
-        tag, value = cached
-        if tag == "cycle":
-            raise CyclicDependencyError(value)
-        return value
-
-    def terminal_views(self):
-        cached = self._table_cache.get("terminal")
-        if cached is None:
-            cached = _terminal(self._view_names, self._table_forward)
-            self._table_cache["terminal"] = cached
-        return cached
-
-    def root_tables(self):
-        cached = self._table_cache.get("roots")
-        if cached is None:
-            cached = _roots(self._base_names, self._table_forward)
-            self._table_cache["roots"] = cached
-        return cached
-
-    def table_closure(self, table, direction=_DOWN):
-        """All tables transitively reachable from ``table`` (memoised)."""
-        key = (table, direction)
-        cached = self._table_cache.get(key)
-        if cached is None:
-            adjacency = (
-                self._table_forward if direction == _DOWN else self._table_reverse
-            )
-            reached = set()
-            frontier = [table]
-            while frontier:
-                current = frontier.pop()
-                for neighbor in adjacency.get(current, ()):
-                    if neighbor != table and neighbor not in reached:
-                        reached.add(neighbor)
-                        frontier.append(neighbor)
-            cached = frozenset(reached)
-            self._table_cache[key] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # Introspection

@@ -355,11 +355,11 @@ class LineageGraph:
 
         With ``build=True`` (default) a current index is computed if the
         cached one is missing or stale — incrementally when the graph only
-        grew since the last build (the common refresh shape), from scratch
-        otherwise.  With ``build=False`` the call never does work: it
-        returns the cached index when it matches the current state token
-        and ``None`` otherwise, which is how consumers ask "is an index
-        already paid for?" without triggering a build on a cold graph.
+        grew since the last build, from scratch otherwise.  With
+        ``build=False`` the call never does work: it returns the cached
+        index when it matches the current state token and ``None``
+        otherwise, which is how consumers ask "is an index already paid
+        for?" without triggering a build on a cold graph.
         """
         token = self._state_token()
         if self._reach is not None and self._reach_token == token:
@@ -608,21 +608,18 @@ class LineageGraph:
     # ------------------------------------------------------------------
     # Freezing (lock-free concurrent readers)
     # ------------------------------------------------------------------
-    def freeze(self, reach_seed=None):
+    def freeze(self):
         """An immutable point-in-time view of this graph.
 
         The returned :class:`FrozenLineageGraph` supports every read
         operation of a live graph but rejects mutation, and its adjacency
-        *and* reachability indexes are built eagerly here — concurrent
-        readers therefore never trigger (or race) a lazy rebuild, which is
-        what makes a published snapshot safe to traverse from many threads
-        without any locking.  ``reach_seed`` may pass the previous
-        generation's :class:`~repro.analysis.reach.ReachabilityIndex`;
-        when this graph is an append-only successor (the serving daemon's
-        batch-ingest steady state) the new index is patched from the seed
-        instead of rebuilt.
+        index is built eagerly here — concurrent readers therefore never
+        trigger (or race) a lazy rebuild, which is what makes a published
+        snapshot safe to traverse from many threads without any locking.
+        No reachability index is built: impact reads answer by BFS unless
+        a caller asks for one (:meth:`FrozenLineageGraph.reachability`).
         """
-        return FrozenLineageGraph(self, reach_seed=reach_seed)
+        return FrozenLineageGraph(self)
 
 
 class FrozenGraphError(TypeError):
@@ -639,15 +636,15 @@ class FrozenLineageGraph(LineageGraph):
     safe) and builds the adjacency index eagerly.  The index is pinned:
     observer notifications from shared entries never invalidate it, so
     every traversal a reader starts completes against the exact edge set
-    that existed when the snapshot was taken.
+    that existed when the snapshot was taken.  A reachability index is
+    carried over from the live graph only when that one is current;
+    otherwise none exists until :meth:`reachability` builds one.
 
     All mutating methods raise :class:`FrozenGraphError`.  Derived views
     (:meth:`LineageGraph.subgraph`) return ordinary mutable graphs.
     """
 
-    def __init__(self, graph, reach_seed=None):
-        from ..analysis.reach import ReachabilityIndex
-
+    def __init__(self, graph):
         self.relations = dict(graph.relations)
         self._mutations = 0
         # reuse the source graph's caches when they match its current
@@ -660,14 +657,7 @@ class FrozenLineageGraph(LineageGraph):
         else:
             self._index = _GraphIndex(self.relations)
         self._index_token = 0
-        reach = None
-        if graph._reach is not None and graph._reach_token == token:
-            reach = graph._reach
-        if reach is None and reach_seed is not None:
-            reach = reach_seed.refreshed(self)
-        if reach is None:
-            reach = ReachabilityIndex.build(self)
-        self._reach = reach
+        self._reach = graph._reach if graph._reach_token == token else None
         self._reach_token = 0
 
     # reads bypass the token dance entirely: the index is pinned
@@ -675,6 +665,16 @@ class FrozenLineageGraph(LineageGraph):
         return self._index
 
     def reachability(self, build=True):
+        """The pinned reachability index, built on the first ``build=True``.
+
+        The build reads only the pinned relation map and adjacency index,
+        so it needs no lock: two readers racing here build equal indexes,
+        and whichever assignment lands last wins.
+        """
+        if self._reach is None and build:
+            from ..analysis.reach import ReachabilityIndex
+
+            self._reach = ReachabilityIndex.build(self)
         return self._reach
 
     def _invalidate(self):

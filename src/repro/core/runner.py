@@ -537,7 +537,7 @@ class LineageXRunner:
             if not store.may_contain(entry.content_hash):
                 return None
             key, _ = self._record_key(entry, catalog, results)
-            return store.get(key, content_hash=entry.content_hash)
+            return store.get(key)
 
         return lookup
 

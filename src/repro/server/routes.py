@@ -244,11 +244,10 @@ async def handle_render(app, request, fmt):
 # ----------------------------------------------------------------------
 async def handle_extract(app, request):
     payload = request.json()
+    statements = payload
     if isinstance(payload, dict) and isinstance(payload.get("statements"), dict):
         statements = payload["statements"]
-    elif isinstance(payload, dict) and payload:
-        statements = payload
-    else:
+    if not isinstance(statements, dict) or not statements:
         raise BadRequestError(
             'body must be {"statements": {name: sql, ...}} or a bare '
             "{name: sql, ...} object with at least one statement"

@@ -58,18 +58,15 @@ class SnapshotManager:
         """Freeze ``graph`` into the next generation WITHOUT publishing.
 
         The freeze copies the relation map and eagerly builds the
-        adjacency *and reachability* indexes — real CPU work on a large
-        graph — so the ingest loop calls this from its worker thread and
-        only does the cheap :meth:`install` swap on the event loop.  Safe
-        off-thread because the single ingest loop is the only generation
-        producer: nobody else can move ``version`` between prepare and
-        install.  The previous generation's reachability index seeds the
-        new one: batch ingest grows the graph append-only, so the freeze
-        usually patches labels for just the new relations instead of
-        re-labelling the whole graph.
+        adjacency index — real CPU work on a large graph — so the ingest
+        loop calls this from its worker thread and only does the cheap
+        :meth:`install` swap on the event loop.  Safe off-thread because
+        the single ingest loop is the only generation producer: nobody
+        else can move ``version`` between prepare and install.  The
+        snapshot carries no reachability index: ``/impact`` and
+        ``/ordering`` answer by BFS and Kahn over the pinned adjacency.
         """
-        previous = self._current.graph.reachability(build=False)
-        frozen = graph.freeze(reach_seed=previous)
+        frozen = graph.freeze()
         return Snapshot(self._current.version + 1, frozen, statement_names)
 
     def install(self, snapshot):

@@ -482,8 +482,7 @@ class LineageSession:
             and cached[1] == token
         ):
             return cached[2]
-        seed = cached[2].reachability(build=False) if cached is not None else None
-        frozen = graph.freeze(reach_seed=seed)
+        frozen = graph.freeze()
         # hold the graph reference so an ``is`` hit can never alias a new
         # object reusing a collected graph's id
         self._snapshot_cache = (graph, token, frozen)

@@ -414,12 +414,11 @@ class LineageStore:
     # ------------------------------------------------------------------
     # The cache surface
     # ------------------------------------------------------------------
-    def get(self, key, content_hash=None):
+    def get(self, key):
         """The stored :class:`TableLineage` for ``key``, or ``None``.
 
-        ``content_hash`` is accepted for callers that know it; lookups go
-        by ``key`` alone.  A key :meth:`prime` buffered is decoded from the
-        buffer (and leaves it) without a read.  Every failure — no
+        A key :meth:`prime` buffered is decoded from the buffer (and leaves
+        it) without a read.  Every failure — no
         database, corrupted row, malformed JSON, record version mismatch —
         is a silent cold miss.
         """

@@ -89,7 +89,9 @@ def _assert_index_matches_bfs(graph, index_graph=None):
     for column in sorted(columns):
         for direction in ("downstream", "upstream"):
             bfs = impact_analysis(graph, column, direction=direction, method="bfs")
-            indexed = impact_analysis(index_graph, column, direction=direction)
+            indexed = impact_analysis(
+                index_graph, column, direction=direction, method="index"
+            )
             assert _partition(indexed) == _partition(bfs), (
                 f"{column} {direction}: index != BFS"
             )
@@ -186,17 +188,6 @@ class TestIncrementalRefresh:
         assert rebuilt.revision == 0, "old->old edge must force a full rebuild"
         _assert_index_matches_bfs(graph, graph)
 
-    def test_seeded_freeze_patches_from_previous_snapshot(self):
-        graph = self._chain_graph()
-        frozen_1 = graph.freeze()
-        view = TableLineage(name="extra")
-        view.add_output_column("a")
-        view.add_contribution("a", ColumnName.of("v3", "a"))
-        graph.add(view)
-        frozen_2 = graph.freeze(reach_seed=frozen_1.reachability())
-        assert frozen_2.reachability().revision == 1
-        _assert_index_matches_bfs(frozen_2, frozen_2)
-
 
 class TestFrozenPinning:
     def test_frozen_results_survive_source_mutation(self):
@@ -224,13 +215,46 @@ class TestFrozenPinning:
         frozen = graph.freeze()
         assert frozen.reachability() is live
 
+    def test_freeze_of_unindexed_graph_builds_no_index(self, example1_graph):
+        frozen = example1_graph.freeze()
+        assert frozen.reachability(build=False) is None
+        first = frozen.reachability()
+        assert first is not None
+        assert frozen.reachability() is first
+        assert frozen.reachability(build=False) is first
+        # the live graph is left without one
+        assert example1_graph.reachability(build=False) is None
+
+    def test_published_snapshot_carries_no_index(self, example1_graph):
+        from repro.server.snapshot import SnapshotManager
+
+        manager = SnapshotManager(LineageGraph())
+        snapshot = manager.install(manager.prepare(example1_graph))
+        assert snapshot.graph.reachability(build=False) is None
+        index = snapshot.graph.reachability()
+        assert index is not None
+        # the next generation does not inherit the previous one's index
+        following = manager.prepare(example1_graph)
+        assert following.graph.reachability(build=False) is None
+
 
 class TestOrderingFromIndex:
+    """Ordering and ``explore`` on frozen graphs and published snapshots
+    answer from the pinned adjacency, exactly as on the live graph."""
+
     def test_frozen_ordering_matches_live(self, example1_graph):
-        frozen = example1_graph.freeze()
-        assert creation_order(frozen) == creation_order(example1_graph)
-        assert terminal_views(frozen) == terminal_views(example1_graph)
-        assert root_tables(frozen) == root_tables(example1_graph)
+        from repro.server.snapshot import SnapshotManager
+
+        snapshot = SnapshotManager(LineageGraph()).prepare(example1_graph)
+        for frozen in (example1_graph.freeze(), snapshot.graph):
+            assert creation_order(frozen) == creation_order(example1_graph)
+            assert drop_order(frozen) == drop_order(example1_graph)
+            assert terminal_views(frozen) == terminal_views(example1_graph)
+            assert root_tables(frozen) == root_tables(example1_graph)
+            for table in example1_graph.relations:
+                assert explore(frozen, table, hops=None) == explore(
+                    example1_graph, table, hops=None
+                )
 
     def test_cyclic_table_order_raises_consistently(self):
         from repro.core.errors import CyclicDependencyError
@@ -246,7 +270,7 @@ class TestOrderingFromIndex:
         frozen = graph.freeze()
         with pytest.raises(CyclicDependencyError):
             creation_order(frozen)
-        with pytest.raises(CyclicDependencyError):  # memoised outcome re-raises
+        with pytest.raises(CyclicDependencyError):
             creation_order(frozen)
 
     @pytest.mark.parametrize("frozen", [False, True])

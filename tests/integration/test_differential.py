@@ -415,7 +415,7 @@ def test_indexed_impact_equivalence(seed, tmp_path):
         bfs = _impact_signature(graph, "bfs")
         _assert_equivalent(
             seed, warehouse, f"index-frozen-{axis}",
-            bfs, _impact_signature(graph.freeze(), "auto"),
+            bfs, _impact_signature(graph.freeze(), "index"),
         )
         graph.reachability()  # force a live build; auto must then use it
         _assert_equivalent(
@@ -426,7 +426,7 @@ def test_indexed_impact_equivalence(seed, tmp_path):
 
 @pytest.mark.parametrize("seed", SEEDS[:1] if SMOKE else SEEDS[:3])
 def test_indexed_impact_serving_equivalence(seed):
-    """The index pinned into the daemon's published snapshot answers
+    """An index built on the daemon's published snapshot answers
     identically to BFS over the same frozen graph."""
     import asyncio
 
@@ -446,7 +446,7 @@ def test_indexed_impact_serving_equivalence(seed):
     graph = asyncio.run(serve())
     _assert_equivalent(
         seed, warehouse, "index-serving",
-        _impact_signature(graph, "bfs"), _impact_signature(graph, "auto"),
+        _impact_signature(graph, "bfs"), _impact_signature(graph, "index"),
     )
 
 

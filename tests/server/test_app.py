@@ -193,6 +193,10 @@ class TestExtractEndpoint:
         async def check(app, host, port):
             status, _ = await _json(host, port, "POST", "/extract", {})
             assert status == 400
+            status, _ = await _json(
+                host, port, "POST", "/extract", {"statements": {}}
+            )
+            assert status == 400
             status, _ = await _json(host, port, "POST", "/extract", ["not", "a", "map"])
             assert status == 400
             status, _ = await _json(host, port, "POST", "/extract", {"v1": "   "})
